@@ -168,29 +168,28 @@ def _sweep_point(spec: HomogeneousSpaceSpec, z: tuple[float, ...], options: Solv
     if normalize:
         total = sum(spec.d[i] * z[i] for i in range(spec.s))
         scaled = tuple(v / total for v in z)
-    fields: dict = {"status": "", "apical": "", "sigma": "", "margin": ""}
-    if solve:
-        fields["c"] = ""
-        fields["residual"] = ""
+    columns = ("status", "apical", "sigma", "margin") + (("c", "residual") if solve else ())
+    fields = dict.fromkeys(columns, "")
+    note = ""
     try:
         verdict = existence_check(spec, scaled, options)
+        fields["status"] = verdict.status.value
+        if verdict.apical is not None:
+            fields["apical"] = "+".join(str(i) for i in verdict.apical.sorted)
+            fields["sigma"] = _fmt(verdict.sigma.value)
+            fields["margin"] = _fmt(verdict.margin)
+        if solve:
+            report = maximize_S_on_MT(spec, scaled, options)
+            if report.converged:
+                verification = verify_prescribed_ricci(spec, report.argmax, scaled)
+                fields["c"] = _fmt(verification.c)
+                fields["residual"] = _fmt(verification.residual)
+            else:
+                note = f"solver did not converge: {report.diagnostics}"
     except (SolverError, NoProperSubalgebraError, ValueError) as exc:
+        fields = dict.fromkeys(columns, "")
         fields["status"] = "error"
-        return SweepRow(z=scaled, fields=fields, note=f"{exc}")
-    fields["status"] = verdict.status.value
-    if verdict.apical is not None:
-        fields["apical"] = "+".join(str(i) for i in verdict.apical.sorted)
-        fields["sigma"] = _fmt(verdict.sigma.value)
-        fields["margin"] = _fmt(verdict.margin)
-    note = ""
-    if solve:
-        report = maximize_S_on_MT(spec, scaled, options)
-        if report.converged:
-            verification = verify_prescribed_ricci(spec, report.argmax, scaled)
-            fields["c"] = _fmt(verification.c)
-            fields["residual"] = _fmt(verification.residual)
-        else:
-            note = f"solver did not converge: {report.diagnostics}"
+        note = f"{exc}"
     return SweepRow(z=scaled, fields=fields, note=note)
 
 

@@ -23,13 +23,14 @@ Slice coefficient vectors are always ordered by ascending summand index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+
 import numpy as np
 
 from .space_model import (
     HomogeneousSpaceSpec,
     SubalgebraIndexSet,
     coefficients_array,
+    memoize_per_spec,
 )
 
 __all__ = [
@@ -87,8 +88,7 @@ def _resolve_indices(spec: HomogeneousSpaceSpec, indices) -> tuple[int, ...]:
     return out
 
 
-@lru_cache(maxsize=256)
-def _term_system_cached(spec: HomogeneousSpaceSpec, indices: tuple[int, ...]) -> TermSystem:
+def _compile(spec: HomogeneousSpaceSpec, indices: tuple[int, ...]) -> TermSystem:
     member = set(indices)
     pos = {i: p for p, i in enumerate(indices)}
     k = len(indices)
@@ -116,6 +116,20 @@ def _term_system_cached(spec: HomogeneousSpaceSpec, indices: tuple[int, ...]) ->
     exps = np.array(sorted(terms), dtype=float).reshape(len(terms), k)
     coefs = np.array([terms[tuple(int(e) for e in row)] for row in exps], dtype=float)
     return TermSystem(indices=indices, coefficients=coefs, exponents=exps)
+
+
+@memoize_per_spec
+def _term_systems(spec: HomogeneousSpaceSpec) -> dict[tuple[int, ...], TermSystem]:
+    """Compiled slices of one spec, by index tuple."""
+    return {}
+
+
+def _term_system_cached(spec: HomogeneousSpaceSpec, indices: tuple[int, ...]) -> TermSystem:
+    systems = _term_systems(spec)
+    system = systems.get(indices)
+    if system is None:
+        system = systems.setdefault(indices, _compile(spec, indices))
+    return system
 
 
 def slice_term_system(spec: HomogeneousSpaceSpec, indices=None) -> TermSystem:

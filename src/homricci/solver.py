@@ -34,6 +34,7 @@ from .space_model import (
     SubalgebraIndexSet,
     coefficients_array,
 )
+from .subalgebras import check_summand_count
 
 __all__ = [
     "SolverError",
@@ -54,6 +55,7 @@ ESCAPE_RATIO = 1e8             # max/min coordinate ratio marking boundary escap
 NEWTON_GATE = 1e-3
 VALUE_TIE = 1e-9               # near-optimal stationary points kept within this
 
+# one prime per slice coordinate, up to MAX_EXHAUSTIVE_SUMMANDS
 _HALTON_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
@@ -269,6 +271,7 @@ def _distinct(points: list[tuple[float, ...]], candidate: tuple[float, ...]) -> 
 
 
 def _maximize(spec: HomogeneousSpaceSpec, indices: tuple[int, ...], z, options: SolverOptions) -> OptimizationReport:
+    check_summand_count(len(indices))
     zs = coefficients_array(z, spec.s, "z")
     problem = _SliceProblem(spec, indices, zs)
     k = problem.k

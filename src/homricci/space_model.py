@@ -14,7 +14,9 @@ enable them.
 
 from __future__ import annotations
 
+import functools
 import json
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -159,6 +161,28 @@ class HomogeneousSpaceSpec:
 
     def summand_indices(self) -> range:
         return range(1, self.s + 1)
+
+
+def memoize_per_spec(compute):
+    """Memoise ``compute(spec)`` with one entry per spec that lives exactly
+    as long as the spec object.
+
+    Entries are keyed weakly, so the value must not refer back to its spec or
+    the spec is never collected.  Equal specs share an entry.  Concurrent
+    first calls may both compute, but every caller gets the first value
+    stored.  The table is exposed as ``.cache``.
+    """
+    cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+    @functools.wraps(compute)
+    def cached(spec: HomogeneousSpaceSpec):
+        value = cache.get(spec)
+        if value is None:
+            value = cache.setdefault(spec, compute(spec))
+        return value
+
+    cached.cache = cache
+    return cached
 
 
 def _positive_tuple(values: Sequence[float], what: str) -> tuple[float, ...]:
@@ -407,8 +431,13 @@ def builtin_names() -> tuple[str, ...]:
     return tuple(sorted(_CATALOG))
 
 
+@functools.cache
 def builtin_space(name: str) -> HomogeneousSpaceSpec:
-    """One of the three catalogued spaces; raises on unknown names."""
+    """One of the three catalogued spaces; raises on unknown names.
+
+    Each name is parsed once and the same spec object is returned on every
+    call, so the per-spec caches stay warm for the catalog.
+    """
     try:
         document = _CATALOG[name]
     except KeyError:

@@ -5,23 +5,38 @@ isotropy algebra) is a subalgebra exactly when no bracket of two member
 summands leaks into the complement: [jkl] = 0 whenever j, k are in the set
 and l is not.  The test is an exact zero test on the stored constants, which
 either vanish identically or are bounded away from zero.
+
+The lattice depends on the spec alone, so it is scanned once per spec and
+kept until the spec itself is garbage collected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .space_model import HomogeneousSpaceSpec, SubalgebraIndexSet
+import numpy as np
+
+from .space_model import HomogeneousSpaceSpec, SubalgebraIndexSet, memoize_per_spec
 
 __all__ = [
     "SubalgebraLattice",
     "is_bracket_closed",
     "intermediate_subalgebras",
     "maximal_within",
+    "check_summand_count",
 ]
 
+# The exhaustive scan holds one uint16 mask per index set, and the solver's
+# Halton restart grid has one prime per coordinate; both stop at 16.
 MAX_EXHAUSTIVE_SUMMANDS = 16
+
+
+def check_summand_count(s: int) -> None:
+    """Reject spaces with more summands than the scan and the solver cover."""
+    if s > MAX_EXHAUSTIVE_SUMMANDS:
+        raise ValueError(
+            f"homricci supports at most {MAX_EXHAUSTIVE_SUMMANDS} summands, got {s}"
+        )
 
 
 def _as_index_set(J) -> SubalgebraIndexSet:
@@ -66,23 +81,63 @@ def _sort_key(J: SubalgebraIndexSet):
     return (len(J), J.sorted)
 
 
-def intermediate_subalgebras(spec: HomogeneousSpaceSpec) -> SubalgebraLattice:
-    """Exhaustive scan of all non-empty proper index sets for closure."""
-    if spec.s > MAX_EXHAUSTIVE_SUMMANDS:
-        raise ValueError(
-            f"exhaustive subalgebra scan supports at most {MAX_EXHAUSTIVE_SUMMANDS} summands, got {spec.s}"
-        )
-    closed = []
-    for mask in range(1, (1 << spec.s) - 1):
-        J = SubalgebraIndexSet.from_iterable(i + 1 for i in range(spec.s) if mask >> i & 1)
-        if is_bracket_closed(spec, J):
-            closed.append(J)
-    closed.sort(key=_sort_key)
-    maximal = tuple(
-        J for J in closed
-        if not any(J < other for other in closed)
+def _maximal(members) -> list[SubalgebraIndexSet]:
+    """Members not strictly inside another member.  ``members`` is sorted
+    by size, then lexicographically, and the result keeps that order.
+
+    Scanning from the largest down, a member strictly inside any other lies
+    strictly inside one already kept, so only the kept ones are compared.
+    """
+    kept: list[SubalgebraIndexSet] = []
+    for J in reversed(members):
+        if not any(J < other for other in kept):
+            kept.append(J)
+    kept.reverse()
+    return kept
+
+
+def _closed_masks(spec: HomogeneousSpaceSpec) -> list[int]:
+    """Bitmasks (bit i-1 for summand i) of every non-empty proper closed set.
+
+    Every nonzero multiset drops the masks holding exactly two of its three
+    slots, counted with repetition as in :func:`is_bracket_closed`.  Such a
+    mask holds all of the multiset's summands but one, and the one left out
+    fills a single slot: (i,j,k) drops three patterns, (i,i,k) and (i,k,k)
+    one each, (i,i,i) none.  The work arrays are allocated once per scan;
+    filtering into ever smaller arrays was faster but fragmented the heap,
+    raising peak memory by about 1 MB over 60 scans at s = 16.
+    """
+    masks = np.arange(1, (1 << spec.s) - 1, dtype=np.uint16)
+    keep = np.ones(masks.shape, dtype=bool)
+    inside = np.empty_like(masks)
+    differs = np.empty_like(keep)
+    for multiset, _ in spec.triples.nonzero_multisets():
+        union = 0
+        for x in multiset:
+            union |= 1 << (x - 1)
+        np.bitwise_and(masks, union, out=inside)
+        for x in set(multiset):
+            if multiset.count(x) == 1:
+                np.not_equal(inside, union ^ (1 << (x - 1)), out=differs)
+                keep &= differs
+    return masks[keep].tolist()
+
+
+@memoize_per_spec
+def _lattice(spec: HomogeneousSpaceSpec) -> SubalgebraLattice:
+    closed = sorted(
+        (SubalgebraIndexSet.from_iterable(i + 1 for i in range(spec.s) if mask >> i & 1)
+         for mask in _closed_masks(spec)),
+        key=_sort_key,
     )
-    return SubalgebraLattice(all_proper=tuple(closed), maximal=maximal)
+    return SubalgebraLattice(all_proper=tuple(closed), maximal=tuple(_maximal(closed)))
+
+
+def intermediate_subalgebras(spec: HomogeneousSpaceSpec) -> SubalgebraLattice:
+    """Exhaustive scan of all non-empty proper index sets for closure,
+    computed once per spec."""
+    check_summand_count(spec.s)
+    return _lattice(spec)
 
 
 def maximal_within(spec: HomogeneousSpaceSpec, J) -> list[SubalgebraIndexSet]:
@@ -90,20 +145,10 @@ def maximal_within(spec: HomogeneousSpaceSpec, J) -> list[SubalgebraIndexSet]:
 
     Closure is tested against the full constant table; since J itself is
     closed this is equivalent to requiring brackets not to leak into J minus
-    the subset.
+    the subset.  The subsets are read off the spec's lattice.
     """
     Jset = _as_index_set(J)
     if not is_bracket_closed(spec, Jset):
         raise ValueError(f"index set {Jset} is not bracket-closed")
-    members = Jset.sorted
-    closed = []
-    for size in range(len(members) - 1, 0, -1):
-        for subset in combinations(members, size):
-            candidate = SubalgebraIndexSet.from_iterable(subset)
-            if is_bracket_closed(spec, candidate):
-                closed.append(candidate)
-    closed.sort(key=_sort_key)
-    return [
-        candidate for candidate in closed
-        if not any(candidate < other for other in closed)
-    ]
+    lattice = intermediate_subalgebras(spec)
+    return _maximal([K for K in lattice.all_proper if K < Jset])

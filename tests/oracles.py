@@ -101,6 +101,13 @@ def all_closed_subsets(spec: HomogeneousSpaceSpec) -> set[frozenset[int]]:
     return closed
 
 
+def maximal_closed_within(closed: set[frozenset[int]], J: frozenset[int]) -> set[frozenset[int]]:
+    """Members of ``closed`` strictly inside J with no member strictly
+    between them and J, by direct pairwise comparison."""
+    inside = [K for K in closed if K < J]
+    return {K for K in inside if not any(K < other for other in inside)}
+
+
 def psi_slice_value(z2: float, z4: float, v: float) -> float:
     """One-variable reduction of hatS on the two-summand slice of the
     four-summand catalog space, valid for v above the pole at 6 z4."""

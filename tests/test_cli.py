@@ -178,6 +178,18 @@ def test_solve_nonconvergence_is_exit_3(capsys, tmp_path):
     assert "did not converge" in err
 
 
+def test_solve_more_than_16_summands_is_exit_2(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"name": "big", "d": [2] * 17,
+                                "triples": [{"i": 1, "j": 2, "k": 3, "value": 1}]}))
+    T = ",".join(["1"] * 17)
+    for command in ("check", "solve"):
+        code, out, err = invoke(capsys, command, "--space", str(path), "--T", T)
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "at most 16 summands, got 17" in err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -307,6 +319,27 @@ def test_sweep_error_rows_do_not_abort(capsys, tmp_path):
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     assert [row[2] for row in rows] == ["error"] * 3
     assert "maximal" in err
+
+
+def test_sweep_solve_errors_become_error_rows(capsys, monkeypatch):
+    import homricci.cli as cli
+    from homricci.solver import SolverError
+
+    real = cli.maximize_S_on_MT
+
+    def failing(spec, z, options=None):
+        if z[0] == 2.0:
+            raise SolverError("injected failure")
+        return real(spec, z, options)
+
+    monkeypatch.setattr(cli, "maximize_S_on_MT", failing)
+    code, out, err = invoke(capsys, "sweep", "--builtin", "G2_U2_long", "--T", "1,1,1",
+                            "--grid", "1=1:3:3", "--solve")
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [row[3] == "error" for row in rows] == [False, True, False]
+    assert rows[1][4:] == ["", "", "", "", ""]
+    assert "injected failure" in err
 
 
 def test_sweep_normalize_preserves_status(capsys):

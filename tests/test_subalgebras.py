@@ -1,13 +1,25 @@
+import gc
+import weakref
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from homricci.space_model import SubalgebraIndexSet, load_space_spec, wallach_space
+from homricci.space_model import (
+    HomogeneousSpaceSpec,
+    StructureConstantTable,
+    SubalgebraIndexSet,
+    builtin_space,
+    load_space_spec,
+    wallach_space,
+)
 from homricci.subalgebras import (
     intermediate_subalgebras,
     is_bracket_closed,
     maximal_within,
 )
 
-from oracles import all_closed_subsets
+from oracles import all_closed_subsets, maximal_closed_within, random_space_spec
 
 
 def _sets(items):
@@ -89,3 +101,94 @@ def test_wallach_singletons_closed():
         assert is_bracket_closed(spec, SubalgebraIndexSet.of(i))
     for pair in ((1, 2), (1, 3), (2, 3)):
         assert not is_bracket_closed(spec, pair)
+
+
+# ---------------------------------------------------------------------------
+# bitmask scan against the independent closure oracle
+# ---------------------------------------------------------------------------
+
+# (seed, density): all-zero tables, sparse and dense draws; the random
+# multisets include repeated indices (i,i,k), (i,k,k) and (i,i,i)
+ORACLE_DRAWS = [(seed, density) for seed in range(8)
+                for density in (0.0, 0.05, 0.2, 0.35, 0.7)]
+
+
+def _oracle_spec(seed, density):
+    rng = np.random.default_rng(1000 + seed)
+    spec = random_space_spec(rng, max_summands=9, density=density)
+    if seed % 3 == 0:
+        spec = replace(spec, name=f"{spec.name}_b0", b=(0.0,) * spec.s)
+    return spec
+
+
+@pytest.mark.parametrize("seed,density", ORACLE_DRAWS)
+def test_lattice_matches_oracle_on_random_specs(seed, density):
+    spec = _oracle_spec(seed, density)
+    lattice = intermediate_subalgebras(spec)
+    closed = all_closed_subsets(spec)
+    assert _sets(lattice.all_proper) == closed
+    assert len(lattice.all_proper) == len(closed)
+    keys = [(len(J), J.sorted) for J in lattice.all_proper]
+    assert keys == sorted(keys)
+    full = frozenset(range(1, spec.s + 1))
+    assert _sets(lattice.maximal) == maximal_closed_within(closed, full)
+
+
+@pytest.mark.parametrize("seed,density", ORACLE_DRAWS)
+def test_maximal_within_matches_oracle_on_random_specs(seed, density):
+    spec = _oracle_spec(seed, density)
+    closed = all_closed_subsets(spec)
+    full = frozenset(range(1, spec.s + 1))
+    for J in sorted(closed | {full}, key=lambda K: (len(K), sorted(K))):
+        subs = maximal_within(spec, J)
+        assert _sets(subs) == maximal_closed_within(closed, J)
+        keys = [(len(K), K.sorted) for K in subs]
+        assert keys == sorted(keys)
+
+
+def test_repeated_index_multisets_close_like_the_oracle():
+    # (1,1,2) leaks from {1}; (2,3,3) leaks from {3}; (4,4,4) leaks nowhere
+    spec = HomogeneousSpaceSpec(
+        name="repeats", d=(2, 2, 2, 2), b=(1.0,) * 4,
+        triples=StructureConstantTable.from_items({(1, 1, 2): 1.0, (2, 3, 3): 1.0, (4, 4, 4): 1.0}),
+    )
+    lattice = intermediate_subalgebras(spec)
+    assert _sets(lattice.all_proper) == all_closed_subsets(spec)
+    assert frozenset({1}) not in _sets(lattice.all_proper)
+    assert frozenset({3}) not in _sets(lattice.all_proper)
+    assert frozenset({4}) in _sets(lattice.all_proper)
+
+
+# ---------------------------------------------------------------------------
+# cache lifetime
+# ---------------------------------------------------------------------------
+
+
+def test_caches_drop_a_spec_when_it_dies():
+    from homricci.curvature import _term_systems
+    from homricci.sigma_apical import existence_check
+    from homricci.subalgebras import _lattice
+
+    name = "lifetime_probe"
+    spec = load_space_spec({
+        "name": name, "d": [12, 18, 4, 6],
+        "triples": [{"i": 1, "j": 1, "k": 2, "value": 2}, {"i": 1, "j": 2, "k": 3, "value": 1},
+                    {"i": 1, "j": 3, "k": 4, "value": "2/3"}, {"i": 2, "j": 2, "k": 4, "value": 2}],
+    })
+    existence_check(spec, (1.0, 1.0, 1.0, 1.0))
+    caches = (_lattice.cache, _term_systems.cache)
+    for cache in caches:
+        assert any(key.name == name for key in list(cache.keys()))
+    probe = weakref.ref(spec)
+    del spec
+    gc.collect()
+    assert probe() is None
+    for cache in caches:
+        assert all(key.name != name for key in list(cache.keys()))
+
+
+def test_builtin_spaces_share_one_lattice():
+    first = builtin_space("F4_SU3xSU2xU1")
+    second = builtin_space("F4_SU3xSU2xU1")
+    assert first is second
+    assert intermediate_subalgebras(first) is intermediate_subalgebras(second)
