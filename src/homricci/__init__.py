@@ -30,6 +30,7 @@ from .sigma_apical import (
 )
 from .solver import (
     OptimizationReport,
+    RestartOutcomes,
     SolverError,
     SolverOptions,
     VerificationResult,
@@ -98,6 +99,7 @@ __all__ = [
     "SolverError",
     "SolverOptions",
     "OptimizationReport",
+    "RestartOutcomes",
     "VerificationResult",
     "maximize_hatS_on_slice",
     "maximize_S_on_MT",

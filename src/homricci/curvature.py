@@ -60,17 +60,25 @@ class TermSystem:
     def value(self, y: np.ndarray) -> float:
         return float(self.coefficients @ np.prod(np.asarray(y, dtype=float) ** self.exponents, axis=1))
 
+    def log_weights(self, w: np.ndarray) -> np.ndarray:
+        """Signed terms c * exp(e . w) at log-coordinates w = log y.
+
+        ``w`` is one point (k,) or a batch (R, k), giving (m,) or (R, m).
+        Value, gradient and Hessian are all formed from these weights, so a
+        point costs one exp however many of them are needed.
+        """
+        return self.coefficients * np.exp(w @ self.exponents.T)
+
+    # single-point views of log_weights; bench/trace.py patches them by name
     def value_log(self, w: np.ndarray) -> float:
-        return float(self.coefficients @ np.exp(self.exponents @ w))
+        return float(self.log_weights(w).sum())
 
     def gradient_log(self, w: np.ndarray) -> np.ndarray:
         """Gradient with respect to log-coordinates w = log y."""
-        weights = self.coefficients * np.exp(self.exponents @ w)
-        return self.exponents.T @ weights
+        return self.log_weights(w) @ self.exponents
 
     def hessian_log(self, w: np.ndarray) -> np.ndarray:
-        weights = self.coefficients * np.exp(self.exponents @ w)
-        return (self.exponents.T * weights) @ self.exponents
+        return (self.exponents.T * self.log_weights(w)) @ self.exponents
 
 
 def _resolve_indices(spec: HomogeneousSpaceSpec, indices) -> tuple[int, ...]:

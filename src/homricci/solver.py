@@ -3,43 +3,50 @@
 The search space for a slice J is {y > 0 : sum_{i in J} d_i z_i / y_i = 1}.
 Work happens in logarithmic coordinates w = log y, where the constraint can
 be restored exactly after any step by the uniform shift w + log C(w), i.e.
-the scaling y -> C(w) y.  Each restart runs projected ascent with a
-backtracking line search, switching to an equality-constrained Newton step
-once the projected gradient is small; restarts start from a Halton grid over
-log-coefficients in [-3, 3] so the whole procedure is deterministic for a
-fixed seed and independent of evaluation order.
+the scaling y -> C(w) y.  Restarts start from a Halton grid over
+log-coefficients in [-3, 3], so the whole procedure is deterministic for a
+fixed seed.
+
+All restarts of a slice advance together as the rows of one (R, k) array.
+Each iteration takes a modified-Newton ascent step from the first
+iteration on: the Lagrangian Hessian is reduced to the tangent space of the
+constraint, its eigenvalues are mirrored to negative values with a floor
+relative to the largest, the step is capped in length, and every row
+backtracks on its own Armijo test.  A row that finishes stays frozen in the
+array, so its arithmetic never depends on when the others finished.
 
 A run that drives the coordinate spread past the escape ratio is classified
 as divergence to the slice boundary and reported as non-attainment evidence
 rather than a maximum.  The spread check runs before the convergence check:
 along an escaping path the objective flattens, so a small gradient there
-must not be mistaken for an interior stationary point.
+must not be mistaken for an interior stationary point.  Every restart ends
+converged, escaped, out of budget or stalled in the line search, and the
+report counts each outcome.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .curvature import (
+    _resolve_indices,
     metric_trace_of_T,
     ricci_coefficients,
     scalar_curvature,
     slice_term_system,
 )
-from .space_model import (
-    HomogeneousSpaceSpec,
-    SubalgebraIndexSet,
-    coefficients_array,
-)
+from .space_model import HomogeneousSpaceSpec, coefficients_array
 from .subalgebras import check_summand_count
 
 __all__ = [
     "SolverError",
     "SolverOptions",
     "OptimizationReport",
+    "RestartOutcomes",
     "VerificationResult",
     "project_slice_coefficients",
     "maximize_hatS_on_slice",
@@ -52,8 +59,12 @@ GRADIENT_TOLERANCE = 1e-9      # reported convergence threshold
 INNER_GRADIENT_TARGET = 1e-12  # iteration keeps polishing down to this
 STEP_TOLERANCE = 1e-12
 ESCAPE_RATIO = 1e8             # max/min coordinate ratio marking boundary escape
-NEWTON_GATE = 1e-3
+NEWTON_GATE = 1e-3             # below this a full step may also pass on gradient decrease
+MAX_LOG_STEP = 2.0             # longest step in log-coordinates
+EIGEN_FLOOR = 1e-13            # |eigenvalue| floor, relative to the largest of the row
+ARMIJO = 1e-4                  # sufficient-increase constant of the line search
 VALUE_TIE = 1e-9               # near-optimal stationary points kept within this
+_TINY = np.finfo(float).tiny
 
 # one prime per slice coordinate, up to MAX_EXHAUSTIVE_SUMMANDS
 _HALTON_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
@@ -78,6 +89,40 @@ class SolverOptions:
 
 
 @dataclass(frozen=True)
+class RestartOutcomes:
+    """How many restarts ended each way.
+
+    A restart escapes (coordinate spread past ESCAPE_RATIO) or else
+    converges (projected gradient below GRADIENT_TOLERANCE where it
+    stopped); one that does neither ran out of its iteration budget, or
+    stalled: the line search found no acceptable step, or the accepted
+    step was shorter than STEP_TOLERANCE.
+    """
+
+    converged: int = 0
+    escaped: int = 0
+    out_of_budget: int = 0
+    stalled: int = 0
+
+    @property
+    def total(self) -> int:
+        return self.converged + self.escaped + self.out_of_budget + self.stalled
+
+    def describe(self, max_iterations: int) -> str:
+        """One clause per nonzero count, e.g. '4/16 restarts escaped ...'."""
+        phrases = {
+            "converged": "converged",
+            "escaped": "escaped toward the slice boundary",
+            "out_of_budget": f"ran out of the {max_iterations}-iteration budget",
+            "stalled": "stalled in the line search",
+        }
+        return "; ".join(
+            f"{getattr(self, name)}/{self.total} restarts {phrase}"
+            for name, phrase in phrases.items() if getattr(self, name)
+        )
+
+
+@dataclass(frozen=True)
 class OptimizationReport:
     """Outcome of a multistart maximization.
 
@@ -85,7 +130,8 @@ class OptimizationReport:
     ``argmax``/``value`` then describe the best one.  Otherwise they hold the
     best iterate seen, which only bounds the supremum from below.  Distinct
     stationary points whose values tie the best within 1e-9 are listed in
-    ``stationary_points``.
+    ``stationary_points``.  ``outcomes`` counts how each restart ended and
+    ``diagnostics`` names every nonzero count.
     """
 
     argmax: tuple[float, ...]
@@ -97,6 +143,7 @@ class OptimizationReport:
     escaped: bool = False
     escape_direction: tuple[float, ...] | None = None
     stationary_points: tuple[tuple[float, ...], ...] = field(default=())
+    outcomes: RestartOutcomes = RestartOutcomes()
     diagnostics: str = ""
 
 
@@ -122,74 +169,91 @@ def _halton(index: int, base: int) -> float:
     return r
 
 
-def _resolve_slice(spec: HomogeneousSpaceSpec, indices) -> tuple[int, ...]:
-    if isinstance(indices, SubalgebraIndexSet):
-        out = indices.sorted
-    else:
-        out = tuple(sorted(set(int(i) for i in indices)))
-    for i in out:
-        if not 1 <= i <= spec.s:
-            raise ValueError(f"index {i} out of range 1..{spec.s}")
-    return out
-
-
 def project_slice_coefficients(spec: HomogeneousSpaceSpec, indices, z, y) -> tuple[float, ...]:
     """Scale y onto the unit-trace slice: y -> lambda y with
     lambda = sum d_i z_i / y_i.  Exact and idempotent up to rounding."""
-    resolved = _resolve_slice(spec, indices)
+    resolved = _resolve_indices(spec, indices)
     ys = coefficients_array(y, len(resolved), "y")
     zs = coefficients_array(z, spec.s, "z")
     lam = sum(spec.d[i - 1] * zs[i - 1] / ys[p] for p, i in enumerate(resolved))
     return tuple(lam * v for v in ys)
 
 
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", X, X))
+
+
 class _SliceProblem:
-    """hatS and the trace constraint on one slice, in log-coordinates."""
+    """hatS and the trace constraint on one slice, in log-coordinates.
+
+    Every method takes an (R, k) array with one point per row.  The
+    constraint is h(w) = sum cz e^-w = 1, with gradient -cz e^-w and Hessian
+    diag(cz e^-w); ``normal`` below is cz e^-w.
+    """
 
     def __init__(self, spec: HomogeneousSpaceSpec, indices: tuple[int, ...], z: tuple[float, ...]):
         self.system = slice_term_system(spec, indices)
         self.cz = np.array([spec.d[i - 1] * z[i - 1] for i in indices])
         self.log_cz = np.log(self.cz)
         self.k = len(indices)
+        self._tangent_axes = np.eye(self.k)[:, : self.k - 1]
 
-    def project(self, w: np.ndarray) -> np.ndarray:
+    def project(self, W: np.ndarray) -> np.ndarray:
         # log of the constraint value, computed stably
-        shifted = self.log_cz - w
-        peak = shifted.max()
-        log_c = peak + math.log(np.exp(shifted - peak).sum())
-        return w + log_c
+        shifted = self.log_cz - W
+        peak = shifted.max(axis=1, keepdims=True)
+        return W + peak + np.log(np.exp(shifted - peak).sum(axis=1, keepdims=True))
 
-    def value(self, w: np.ndarray) -> float:
-        return self.system.value_log(w)
+    def evaluate(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Values, gradients and term weights at each row."""
+        weights = self.system.log_weights(W)
+        return weights.sum(axis=1), weights @ self.system.exponents, weights
 
-    def gradient(self, w: np.ndarray) -> np.ndarray:
-        return self.system.gradient_log(w)
+    def tangent(self, W: np.ndarray, G: np.ndarray):
+        """Projected gradient, unit normal and normal length of each row."""
+        normal = self.cz * np.exp(-W)
+        size = _row_norms(normal)
+        u = normal / size[:, None]
+        return G - np.einsum("ij,ij->i", G, u)[:, None] * u, u, size
 
-    def constraint_normal(self, w: np.ndarray) -> np.ndarray:
-        return -self.cz * np.exp(-w)
+    def ascent_direction(self, G, gp, u, size, weights, active) -> np.ndarray:
+        """Modified-Newton ascent step on the tangent space of each row.
 
-    def projected_gradient(self, w: np.ndarray, g: np.ndarray) -> np.ndarray:
-        n = self.constraint_normal(w)
-        return g - (g @ n) / (n @ n) * n
-
-    def newton_step(self, w: np.ndarray, g: np.ndarray) -> np.ndarray | None:
-        n = self.constraint_normal(w)
-        lam = (g @ n) / (n @ n)
-        hess = self.system.hessian_log(w) - lam * np.diag(self.cz * np.exp(-w))
-        kkt = np.zeros((self.k + 1, self.k + 1))
-        kkt[: self.k, : self.k] = hess
-        kkt[: self.k, self.k] = -n
-        kkt[self.k, : self.k] = n
-        rhs = np.zeros(self.k + 1)
-        rhs[: self.k] = -(g - lam * n)
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            return None
-        step = sol[: self.k]
-        if not np.all(np.isfinite(step)):
-            return None
-        return step
+        The Lagrangian Hessian is reduced to the tangent space through a
+        Householder basis, and its eigenvalues are mirrored to
+        -max(|mu|, EIGEN_FLOOR * max|mu|), which makes the Newton step an
+        ascent direction that stays second order near a maximum.  The floor
+        is relative: along an escape curve the decisive eigenvalue can be
+        as small as 3e-10, and an absolute floor above it (1e-8, say) cuts
+        the escaping step to a crawl.  The step is capped at MAX_LOG_STEP.  Rows whose
+        reduced Hessian is not finite take the projected gradient; inactive
+        rows get a step that is never used.
+        """
+        E = self.system.exponents
+        # Lagrangian Hessian hess f - lam diag(normal), lam being the
+        # least-squares multiplier of G = lam * grad h = -lam * normal
+        lam = -np.einsum("ij,ij->i", G, u) / size
+        hessian = np.matmul(E.T, weights[:, :, None] * E)
+        diagonal = np.arange(self.k)
+        hessian[:, diagonal, diagonal] -= lam[:, None] * size[:, None] * u
+        # Householder reflection taking u to minus the last axis; its first
+        # k - 1 columns are an orthonormal basis of the tangent space
+        v = u.copy()
+        v[:, -1] += 1.0
+        basis = self._tangent_axes - (
+            (2.0 / np.einsum("ij,ij->i", v, v))[:, None, None] * v[:, :, None] * v[:, None, : self.k - 1])
+        reduced = np.matmul(basis.transpose(0, 2, 1), np.matmul(hessian, basis))
+        # -I makes the step below the projected gradient
+        reduced[~(active & np.isfinite(reduced).all(axis=(1, 2)))] = -np.eye(self.k - 1)
+        mu, vectors = np.linalg.eigh(reduced)
+        magnitude = np.abs(mu)
+        curvature = np.maximum(magnitude, EIGEN_FLOOR * magnitude.max(axis=1, keepdims=True))
+        axes = np.matmul(basis, vectors)
+        coordinates = np.einsum("rk,rkj->rj", G, axes) / np.maximum(curvature, _TINY)
+        D = np.einsum("rkj,rj->rk", axes, coordinates)
+        fallback = active & ~np.isfinite(D).all(axis=1)
+        D[fallback] = gp[fallback]
+        return D * np.minimum(1.0, MAX_LOG_STEP / np.maximum(_row_norms(D), _TINY))[:, None]
 
 
 @dataclass
@@ -198,68 +262,109 @@ class _RestartResult:
     value: float
     residual: float
     iterations: int
-    converged: bool
-    escaped: bool
+    outcome: str                      # a field name of RestartOutcomes
+
+    @property
+    def converged(self) -> bool:
+        return self.outcome == "converged"
+
+    @property
+    def escaped(self) -> bool:
+        return self.outcome == "escaped"
 
 
-def _run_restart(problem: _SliceProblem, w0: np.ndarray, max_iterations: int) -> _RestartResult:
+def _line_search(problem: _SliceProblem, W, F, G, weights, D, residual, pending):
+    """Backtrack every pending row on its own Armijo test.
+
+    Returns the new (W, F, G, weights), the rows that moved, and the rows
+    whose trial step fell below STEP_TOLERANCE without being accepted.  A
+    trial whose value is not finite is rejected like any other.  The first
+    trial is the capped full step; below NEWTON_GATE it is also accepted
+    when it lowers the projected-gradient norm, because near the maximum f
+    stops changing at rounding level and Armijo alone would stall there.
+    """
+    W, F, G, weights = W.copy(), F.copy(), G.copy(), weights.copy()
+    slope = np.einsum("ij,ij->i", G, D)
+    length = _row_norms(D)
+    alpha = np.ones(len(W))
+    moved = np.zeros(len(W), dtype=bool)
+    exhausted = np.zeros(len(W), dtype=bool)
+    first = True
+    while pending.any():
+        W_try = problem.project(W + alpha[:, None] * D)
+        F_try, G_try, weights_try = problem.evaluate(W_try)
+        finite = pending & np.isfinite(F_try)
+        accept = finite & (F_try >= F + ARMIJO * alpha * slope)
+        if first:
+            first = False
+            gated = finite & (residual < NEWTON_GATE)
+            if gated.any():
+                gp_try = problem.tangent(W_try, G_try)[0]
+                accept |= gated & (_row_norms(gp_try) < 0.9 * residual)
+        W[accept], F[accept], G[accept], weights[accept] = (
+            W_try[accept], F_try[accept], G_try[accept], weights_try[accept])
+        moved |= accept
+        pending = pending & ~accept
+        alpha[pending] *= 0.5
+        stop = pending & (alpha * length < STEP_TOLERANCE)
+        exhausted |= stop
+        pending &= ~stop
+    return W, F, G, weights, moved, exhausted
+
+
+def _run_restarts(problem: _SliceProblem, W0: np.ndarray, max_iterations: int) -> list[_RestartResult]:
+    """Advance every restart together, one row of an (R, k) array each.
+
+    A row that finishes stays frozen in place, so the arrays keep their
+    shape and a row's arithmetic never depends on when the others finished.
+    Trial points far out on an escape path may overflow; those values are
+    rejected by the line search, so the warnings are silenced here.
+    """
     log_escape = math.log(ESCAPE_RATIO)
-    w = problem.project(w0)
-    f = problem.value(w)
-    if not math.isfinite(f):
-        raise SolverError("objective overflowed at a projected start point")
-    g = problem.gradient(w)
-    alpha = 1.0
-    residual = math.inf
-    escaped = False
-    iterations = 0
+    R = len(W0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = problem.project(W0)
+        F, G, weights = problem.evaluate(W)
+        if not np.isfinite(F).all():
+            raise SolverError("objective overflowed at a projected start point")
+        active = np.ones(R, dtype=bool)
+        escaped = np.zeros(R, dtype=bool)
+        stalled = np.zeros(R, dtype=bool)
+        iterations = np.full(R, max_iterations)
 
-    for iterations in range(1, max_iterations + 1):
-        if w.max() - w.min() > log_escape:
-            escaped = True
-            break
-        gp = problem.projected_gradient(w, g)
-        residual = float(np.linalg.norm(gp))
-        if residual < INNER_GRADIENT_TARGET:
-            break
-
-        moved = False
-        if residual < NEWTON_GATE:
-            step = problem.newton_step(w, g)
-            if step is not None:
-                w_try = problem.project(w + step)
-                f_try = problem.value(w_try)
-                if math.isfinite(f_try):
-                    g_try = problem.gradient(w_try)
-                    gp_try = problem.projected_gradient(w_try, g_try)
-                    if np.linalg.norm(gp_try) < 0.9 * residual:
-                        w, f, g = w_try, f_try, g_try
-                        moved = True
-        if not moved:
-            gp_sq = residual * residual
-            step_alpha = alpha
-            while step_alpha > 1e-18:
-                w_try = problem.project(w + step_alpha * gp)
-                f_try = problem.value(w_try)
-                if math.isfinite(f_try) and f_try >= f + 1e-4 * step_alpha * gp_sq:
-                    break
-                step_alpha *= 0.5
-            else:
-                break  # line search exhausted; residual stands as reported
-            if float(np.linalg.norm(w_try - w)) < STEP_TOLERANCE:
-                w, f = w_try, f_try
-                g = problem.gradient(w)
+        for iteration in range(1, max_iterations + 1):
+            finished = active & (W.max(axis=1) - W.min(axis=1) > log_escape)
+            escaped |= finished
+            gp, u, size = problem.tangent(W, G)
+            residual = _row_norms(gp)
+            finished |= active & (residual < INNER_GRADIENT_TARGET)
+            iterations[finished] = iteration
+            active &= ~finished
+            if not active.any():
                 break
-            w, f = w_try, f_try
-            g = problem.gradient(w)
-            alpha = min(step_alpha * 2.0, 4.0)
+            D = problem.ascent_direction(G, gp, u, size, weights, active)
+            W_new, F, G, weights, moved, exhausted = _line_search(
+                problem, W, F, G, weights, D, residual, active)
+            finished = exhausted | (moved & (_row_norms(W_new - W) < STEP_TOLERANCE))
+            W = W_new
+            stalled |= finished
+            iterations[finished] = iteration
+            active &= ~finished
 
-    if not escaped:
-        gp = problem.projected_gradient(w, problem.gradient(w))
-        residual = float(np.linalg.norm(gp))
-    converged = (not escaped) and residual < GRADIENT_TOLERANCE
-    return _RestartResult(w=w, value=f, residual=residual, iterations=iterations,
-                          converged=converged, escaped=escaped)
+        residual = _row_norms(problem.tangent(W, G)[0])
+    results = []
+    for r in range(R):
+        if escaped[r]:
+            outcome = "escaped"
+        elif residual[r] < GRADIENT_TOLERANCE:
+            outcome = "converged"
+        elif stalled[r]:
+            outcome = "stalled"
+        else:
+            outcome = "out_of_budget"
+        results.append(_RestartResult(w=W[r], value=float(F[r]), residual=float(residual[r]),
+                                      iterations=int(iterations[r]), outcome=outcome))
+    return results
 
 
 def _distinct(points: list[tuple[float, ...]], candidate: tuple[float, ...]) -> bool:
@@ -274,18 +379,16 @@ def _maximize(spec: HomogeneousSpaceSpec, indices: tuple[int, ...], z, options: 
     check_summand_count(len(indices))
     zs = coefficients_array(z, spec.s, "z")
     problem = _SliceProblem(spec, indices, zs)
-    k = problem.k
-    primes = _HALTON_PRIMES[:k]
+    primes = _HALTON_PRIMES[: problem.k]
 
-    results: list[_RestartResult] = []
-    total_iterations = 0
-    for r in range(options.restarts):
-        start_index = options.seed * options.restarts + r + 1
-        u = np.array([_halton(start_index, p) for p in primes])
-        w0 = options.start_box * (2.0 * u - 1.0)
-        result = _run_restart(problem, w0, options.max_iterations)
-        results.append(result)
-        total_iterations += result.iterations
+    starts = np.array([
+        [_halton(options.seed * options.restarts + r + 1, p) for p in primes]
+        for r in range(options.restarts)
+    ])
+    results = _run_restarts(problem, options.start_box * (2.0 * starts - 1.0), options.max_iterations)
+    total_iterations = sum(r.iterations for r in results)
+    outcomes = RestartOutcomes(**Counter(r.outcome for r in results))
+    diagnostics = outcomes.describe(options.max_iterations)
 
     converged = [r for r in results if r.converged]
     if converged:
@@ -308,22 +411,18 @@ def _maximize(spec: HomogeneousSpaceSpec, indices: tuple[int, ...], z, options: 
             first_order_residual=best.residual,
             escaped=False,
             stationary_points=tuple(near_optimal),
+            outcomes=outcomes,
+            diagnostics=diagnostics,
         )
 
     # no restart found an interior stationary point
     best = max(results, key=lambda r: r.value)
-    escaped_any = any(r.escaped for r in results)
+    escaped_any = outcomes.escaped > 0
     direction = None
     if escaped_any:
         best_escape = max((r for r in results if r.escaped), key=lambda r: r.value)
         centred = best_escape.w - best_escape.w.mean()
         direction = tuple(float(v) for v in centred / np.linalg.norm(centred))
-    n_escaped = sum(1 for r in results if r.escaped)
-    diagnostics = (
-        f"{n_escaped}/{len(results)} restarts escaped toward the slice boundary"
-        if escaped_any
-        else "all restarts stalled before reaching the gradient tolerance"
-    )
     return OptimizationReport(
         argmax=tuple(float(v) for v in np.exp(best.w)),
         value=best.value,
@@ -331,9 +430,10 @@ def _maximize(spec: HomogeneousSpaceSpec, indices: tuple[int, ...], z, options: 
         restarts_used=options.restarts,
         converged=False,
         first_order_residual=min(r.residual for r in results if not r.escaped)
-        if n_escaped < len(results) else math.inf,
+        if outcomes.escaped < len(results) else math.inf,
         escaped=escaped_any,
         escape_direction=direction,
+        outcomes=outcomes,
         diagnostics=diagnostics,
     )
 
@@ -345,7 +445,7 @@ def maximize_hatS_on_slice(spec: HomogeneousSpaceSpec, J, z,
     Requires at least two summands in J; a single summand makes the slice one
     exactly determined point and needs no search.
     """
-    indices = _resolve_slice(spec, J)
+    indices = _resolve_indices(spec, J)
     if len(indices) < 2:
         raise ValueError("slice maximization needs at least two summands in J")
     return _maximize(spec, indices, z, options or SolverOptions())
@@ -395,7 +495,7 @@ def escape_curve_S(spec: HomogeneousSpaceSpec, J, y, z, t: float) -> float:
     sets every complement coefficient to t, staying on the unit-trace slice
     for every admissible t.  As t grows the value approaches hatS(y).
     """
-    indices = _resolve_slice(spec, J)
+    indices = _resolve_indices(spec, J)
     zs = coefficients_array(z, spec.s, "z")
     complement = [i for i in spec.summand_indices() if i not in set(indices)]
     tr = sum(spec.d[i - 1] * zs[i - 1] for i in complement)

@@ -176,6 +176,10 @@ def test_solve_nonconvergence_is_exit_3(capsys, tmp_path):
     code, _, err = invoke(capsys, "solve", "--space", str(path), "--T", "1,2")
     assert code == EXIT_NUMERICAL_FAILURE
     assert "did not converge" in err
+    # the message starts with a fixed prefix and counts how restarts ended
+    code, _, err = invoke(capsys, "solve", "--builtin", "F4_SU3xSU2xU1", "--T", "1.75,1,1,1")
+    assert code == EXIT_NUMERICAL_FAILURE
+    assert err.startswith("solver did not converge: 16/16 restarts escaped toward the slice boundary")
 
 
 def test_solve_more_than_16_summands_is_exit_2(capsys, tmp_path):

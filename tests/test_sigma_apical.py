@@ -17,7 +17,15 @@ from homricci.sigma_apical import (
 )
 from homricci.space_model import load_space_spec, wallach_space
 
-from oracles import golden_section_max, psi_peak_location, psi_peak_value, psi_slice_value
+from oracles import (
+    all_closed_subsets,
+    brute_force_hat_curvature,
+    golden_section_max,
+    psi_peak_location,
+    psi_peak_value,
+    psi_slice_value,
+    random_space_spec,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +111,34 @@ def test_sigma_degenerate_threshold_band(f4):
     verdict = existence_check(f4, (2.4, 1.7501, 1.0, 1.0))
     assert verdict.apical.sorted == (4,)
     assert verdict.status is VerdictStatus.INCONCLUSIVE
+
+
+def test_sigma_dominates_sampled_slice_points():
+    # sigma is a supremum: no point of the slice may beat it, and an
+    # attained witness must lie on the slice and realise the value; a
+    # solver that gives up early fails the first check.  Sparse draws keep
+    # composite subalgebras common (87 over these 30 draws).
+    for draw in range(30):
+        rng = np.random.default_rng(9100 + draw)
+        spec = random_space_spec(rng, max_summands=7, density=(0.05, 0.15, 0.35)[draw % 3])
+        z = (1.0,) * spec.s
+        ctx = SigmaContext(spec, z)
+        for J in sorted(all_closed_subsets(spec), key=sorted):
+            if len(J) < 2:
+                continue
+            members = sorted(J)
+            result = ctx.sigma(J)
+            sampled = -math.inf
+            for y in np.exp(rng.uniform(-3.0, 3.0, (64, len(members)))):
+                trace = sum(spec.d[i - 1] * z[i - 1] / v for i, v in zip(members, y))
+                sampled = max(sampled, brute_force_hat_curvature(spec, J, trace * y))
+            where = f"draw {draw}, J = {members}"
+            assert result.value >= sampled - 1e-9 * max(1.0, abs(sampled)), where
+            if result.attained:
+                trace = sum(spec.d[i - 1] * z[i - 1] / v for i, v in zip(members, result.witness))
+                assert abs(trace - 1.0) < 1e-10, where
+                witnessed = brute_force_hat_curvature(spec, J, result.witness)
+                assert abs(witnessed - result.value) <= 1e-9 * max(1.0, abs(result.value)), where
 
 
 def test_sigma_requires_closed(f4):

@@ -118,7 +118,9 @@ def test_determinism_fixed_seed(g2):
 def test_restart_budget_options(g2):
     report = maximize_S_on_MT(g2, (1, 1, 1), SolverOptions(restarts=4))
     assert report.restarts_used == 4
+    assert report.outcomes.total == 4
     assert report.converged
+    assert maximize_S_on_MT(g2, (1, 1, 1), SolverOptions(restarts=4)) == report
     with pytest.raises(ValueError):
         SolverOptions(restarts=0)
 
@@ -214,3 +216,45 @@ def test_escape_curve_monotone_gain_under_guarantee(g2):
     limit = 3 / 8
     values = [escape_curve_S(g2, (3,), (4.0,), (1, 1, 1), t) for t in np.geomspace(7, 1e8, 60)]
     assert max(values) > limit
+
+
+# ---------------------------------------------------------------------------
+# restart outcomes and iteration counts
+# ---------------------------------------------------------------------------
+
+
+def test_unattained_f4_escapes_within_budget(f4):
+    # the supremum at this point is a boundary limit: every restart must be
+    # recognised as escaping long before the iteration budget
+    report = maximize_S_on_MT(f4, (1.75, 1, 1, 1))
+    assert report.escaped
+    assert not report.converged
+    assert report.iterations <= 1000
+    assert report.outcomes.escaped == report.restarts_used == 16
+
+
+def test_g2_converges_in_few_iterations(g2):
+    report = maximize_S_on_MT(g2, (1, 1, 1))
+    assert report.converged
+    assert report.iterations <= 400
+    assert report.outcomes.converged > 0
+
+
+def test_outcomes_name_the_exhausted_budget(f4):
+    report = maximize_S_on_MT(f4, (1.75, 1, 1, 1), SolverOptions(max_iterations=3))
+    counts = report.outcomes
+    assert counts.converged + counts.escaped + counts.out_of_budget + counts.stalled == 16
+    assert counts.out_of_budget > 0
+    assert f"{counts.out_of_budget}/16 restarts ran out of the 3-iteration budget" in report.diagnostics
+    assert report.iterations == 16 * 3
+
+
+def test_diagnostics_name_every_nonzero_count(f4):
+    # a budget cut short mid-escape leaves restarts in several states
+    report = maximize_S_on_MT(f4, (1.75, 1, 1, 1), SolverOptions(max_iterations=16))
+    counts = report.outcomes
+    nonzero = [n for n in (counts.converged, counts.escaped, counts.out_of_budget, counts.stalled) if n]
+    clauses = report.diagnostics.split("; ")
+    assert len(nonzero) >= 2
+    assert len(clauses) == len(nonzero)
+    assert all(clause.startswith(f"{n}/16 restarts") for clause, n in zip(clauses, nonzero))
