@@ -22,14 +22,25 @@ import enum
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .solver import SolverError, SolverOptions, maximize_hatS_on_slice
+from .solver import (
+    OptimizationReport,
+    SolverError,
+    SolverOptions,
+    maximize_hatS_on_slice,  # noqa: F401  (bench/trace.py patches it by name)
+    maximize_hatS_on_slices,
+)
 from .space_model import (
     HomogeneousSpaceSpec,
     SubalgebraIndexSet,
     coefficients_array,
     trace_Q_restricted,
 )
-from .subalgebras import intermediate_subalgebras, is_bracket_closed, maximal_within
+from .subalgebras import (
+    _as_index_set,
+    intermediate_subalgebras,
+    is_bracket_closed,
+    maximal_within,
+)
 
 __all__ = [
     "SigmaSource",
@@ -132,10 +143,6 @@ class ExistenceVerdict:
         }
 
 
-def _as_index_set(J) -> SubalgebraIndexSet:
-    return J if isinstance(J, SubalgebraIndexSet) else SubalgebraIndexSet.from_iterable(J)
-
-
 def sigma_irreducible(spec: HomogeneousSpaceSpec, i: int, z) -> SigmaResult:
     """Closed-form sigma for a single-summand subalgebra.
 
@@ -169,6 +176,10 @@ def sigma_irreducible(spec: HomogeneousSpaceSpec, i: int, z) -> SigmaResult:
 class SigmaContext:
     """Memoised sigma evaluations for one (spec, tensor) pair.
 
+    The first time a composite J is needed, every composite subalgebra
+    inside J that is not yet known is solved in one
+    :func:`maximize_hatS_on_slices` call, so slices of equal dimension
+    advance together; :meth:`sigmas` does the same for several sets at once.
     Not safe to share across threads; each worker should hold its own.
     """
 
@@ -177,6 +188,7 @@ class SigmaContext:
         self.z = coefficients_array(z, spec.s, "z")
         self.options = options or SolverOptions()
         self._memo: dict[frozenset[int], SigmaResult] = {}
+        self._reports: dict[frozenset[int], OptimizationReport] = {}
 
     def sigma(self, J) -> SigmaResult:
         Jset = _as_index_set(J)
@@ -192,8 +204,32 @@ class SigmaContext:
         self._memo[Jset.indices] = result
         return result
 
+    def sigmas(self, Js) -> list[SigmaResult]:
+        """sigma of each J, with every slice they need solved in one call."""
+        Jsets = [_as_index_set(J) for J in Js]
+        self._solve_within(Jsets)
+        return [self.sigma(J) for J in Jsets]
+
+    def _solve_within(self, Jsets: Sequence[SubalgebraIndexSet]) -> None:
+        """Solve the slice of every composite subalgebra inside one of
+        ``Jsets`` whose sigma and report are not known yet."""
+        pending: dict[frozenset[int], SubalgebraIndexSet] = {}
+        # the lattice holds every closed set but the full one
+        candidates = intermediate_subalgebras(self.spec).all_proper + tuple(
+            J for J in Jsets if len(J) == self.spec.s)
+        for Jset in Jsets:
+            for K in candidates:
+                if (len(K) > 1 and K.indices <= Jset.indices and K.indices not in self._memo
+                        and K.indices not in self._reports):
+                    pending.setdefault(K.indices, K)
+        if pending:
+            reports = maximize_hatS_on_slices(self.spec, pending.values(), self.z, self.options)
+            self._reports.update(zip(pending, reports))
+
     def _sigma_composite(self, Jset: SubalgebraIndexSet) -> SigmaResult:
-        report = maximize_hatS_on_slice(self.spec, Jset, self.z, self.options)
+        if Jset.indices not in self._reports:
+            self._solve_within([Jset])
+        report = self._reports.pop(Jset.indices)
         sub_results = [self.sigma(Jp) for Jp in maximal_within(self.spec, Jset)]
         recursive = max((r.value for r in sub_results), default=None)
 
@@ -252,7 +288,7 @@ def _apical_search(ctx: SigmaContext) -> tuple[SigmaResult, tuple[SigmaResult, .
             "the isotropy algebra is maximal: no proper intermediate subalgebra "
             "exists, and this existence test does not cover that case"
         )
-    maximal_results = [ctx.sigma(J) for J in lattice.maximal]
+    maximal_results = ctx.sigmas(lattice.maximal)
     candidates: list[SigmaResult] = []
     for start in _tied_subset(maximal_results):
         current = start

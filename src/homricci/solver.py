@@ -7,13 +7,17 @@ the scaling y -> C(w) y.  Restarts start from a Halton grid over
 log-coefficients in [-3, 3], so the whole procedure is deterministic for a
 fixed seed.
 
-All restarts of a slice advance together as the rows of one (R, k) array.
-Each iteration takes a modified-Newton ascent step from the first
-iteration on: the Lagrangian Hessian is reduced to the tangent space of the
-constraint, its eigenvalues are mirrored to negative values with a floor
-relative to the largest, the step is capped in length, and every row
-backtracks on its own Armijo test.  A row that finishes stays frozen in the
-array, so its arithmetic never depends on when the others finished.
+All restarts of all slices of one dimension k advance together as the
+rows of one (n R, k) array, R rows per slice.  Each iteration takes a
+modified-Newton ascent step from the first iteration on: the Lagrangian
+Hessian is reduced to the tangent space of the constraint, its eigenvalues
+are mirrored to negative values with a floor relative to the largest, the
+step is capped in length, and every row backtracks on its own Armijo test.
+A row that finishes stays frozen in the array, so its arithmetic never
+depends on when the others finished.  A slice's report does not depend on
+its group either: each slice keeps its own terms, padded at the end with
+terms of weight exactly zero, and its value is summed in term order, so
+the padding only adds exact zeros after the slice's own terms.
 
 A run that drives the coordinate spread past the escape ratio is classified
 as divergence to the slice boundary and reported as non-attainment evidence
@@ -21,7 +25,8 @@ rather than a maximum.  The spread check runs before the convergence check:
 along an escaping path the objective flattens, so a small gradient there
 must not be mistaken for an interior stationary point.  Every restart ends
 converged, escaped, out of budget or stalled in the line search, and the
-report counts each outcome.
+report counts each outcome; a restart still running when its budget ends is
+out of budget even if its gradient is already small.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curvature import (
+    TermSystem,
     _resolve_indices,
     metric_trace_of_T,
     ricci_coefficients,
@@ -50,6 +56,7 @@ __all__ = [
     "VerificationResult",
     "project_slice_coefficients",
     "maximize_hatS_on_slice",
+    "maximize_hatS_on_slices",
     "maximize_S_on_MT",
     "verify_prescribed_ricci",
     "escape_curve_S",
@@ -64,6 +71,7 @@ MAX_LOG_STEP = 2.0             # longest step in log-coordinates
 EIGEN_FLOOR = 1e-13            # |eigenvalue| floor, relative to the largest of the row
 ARMIJO = 1e-4                  # sufficient-increase constant of the line search
 VALUE_TIE = 1e-9               # near-optimal stationary points kept within this
+MAX_BATCH_ENTRIES = 1 << 20    # rows x terms x k of one batch, bounding its work arrays
 _TINY = np.finfo(float).tiny
 
 # one prime per slice coordinate, up to MAX_EXHAUSTIVE_SUMMANDS
@@ -184,19 +192,34 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
 
 
 class _SliceProblem:
-    """hatS and the trace constraint on one slice, in log-coordinates.
+    """hatS and the trace constraint on n slices of equal dimension k, in
+    log-coordinates.
 
-    Every method takes an (R, k) array with one point per row.  The
-    constraint is h(w) = sum cz e^-w = 1, with gradient -cz e^-w and Hessian
-    diag(cz e^-w); ``normal`` below is cz e^-w.
+    Every method takes an (n * R, k) array with one point per row, slice by
+    slice: rows j * R to (j + 1) * R - 1 belong to slice j.  Each slice keeps
+    its own terms, its coefficients padded with zeros to the longest term
+    list, so a padded term weighs exactly zero.  The constraint of a row is
+    h(w) = sum cz e^-w = 1, with gradient -cz e^-w and Hessian diag(cz e^-w);
+    ``normal`` below is cz e^-w.
     """
 
-    def __init__(self, spec: HomogeneousSpaceSpec, indices: tuple[int, ...], z: tuple[float, ...]):
-        self.system = slice_term_system(spec, indices)
-        self.cz = np.array([spec.d[i - 1] * z[i - 1] for i in indices])
+    def __init__(self, spec: HomogeneousSpaceSpec, systems: list[TermSystem],
+                 z: tuple[float, ...], restarts: int):
+        self.k = systems[0].dimension
+        m = max(len(system.coefficients) for system in systems)
+        self.coefficients = np.zeros((len(systems), 1, m))
+        self.exponents = np.zeros((len(systems), m, self.k))
+        for j, system in enumerate(systems):
+            self.coefficients[j, 0, : len(system.coefficients)] = system.coefficients
+            self.exponents[j, : len(system.coefficients)] = system.exponents
+        self._exponents_T = self.exponents.transpose(0, 2, 1)
+        self.cz = np.repeat([[spec.d[i - 1] * z[i - 1] for i in system.indices] for system in systems],
+                            restarts, axis=0)
         self.log_cz = np.log(self.cz)
-        self.k = len(indices)
         self._tangent_axes = np.eye(self.k)[:, : self.k - 1]
+
+    def _by_slice(self, X: np.ndarray) -> np.ndarray:
+        return X.reshape(len(self.exponents), -1, X.shape[-1])
 
     def project(self, W: np.ndarray) -> np.ndarray:
         # log of the constraint value, computed stably
@@ -205,9 +228,16 @@ class _SliceProblem:
         return W + peak + np.log(np.exp(shifted - peak).sum(axis=1, keepdims=True))
 
     def evaluate(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Values, gradients and term weights at each row."""
-        weights = self.system.log_weights(W)
-        return weights.sum(axis=1), weights @ self.system.exponents, weights
+        """Values, gradients and term weights c * exp(e . w) at each row.
+
+        The value is a running sum in term order, which the zero padding
+        at the end leaves exact; a pairwise sum would regroup the terms by
+        the padded length.
+        """
+        weights = self.coefficients * np.exp(np.matmul(self._by_slice(W), self._exponents_T))
+        gradients = np.matmul(weights, self.exponents).reshape(W.shape)
+        weights = weights.reshape(len(W), -1)
+        return np.cumsum(weights, axis=1)[:, -1], gradients, weights
 
     def tangent(self, W: np.ndarray, G: np.ndarray):
         """Projected gradient, unit normal and normal length of each row."""
@@ -229,11 +259,11 @@ class _SliceProblem:
         reduced Hessian is not finite take the projected gradient; inactive
         rows get a step that is never used.
         """
-        E = self.system.exponents
         # Lagrangian Hessian hess f - lam diag(normal), lam being the
         # least-squares multiplier of G = lam * grad h = -lam * normal
         lam = -np.einsum("ij,ij->i", G, u) / size
-        hessian = np.matmul(E.T, weights[:, :, None] * E)
+        weighted = self._by_slice(weights)[:, :, :, None] * self.exponents[:, None]
+        hessian = np.matmul(self._exponents_T[:, None], weighted).reshape(-1, self.k, self.k)
         diagonal = np.arange(self.k)
         hessian[:, diagonal, diagonal] -= lam[:, None] * size[:, None] * u
         # Householder reflection taking u to minus the last axis; its first
@@ -313,12 +343,15 @@ def _line_search(problem: _SliceProblem, W, F, G, weights, D, residual, pending)
 
 
 def _run_restarts(problem: _SliceProblem, W0: np.ndarray, max_iterations: int) -> list[_RestartResult]:
-    """Advance every restart together, one row of an (R, k) array each.
+    """Advance every restart of every slice together, one row each.
 
     A row that finishes stays frozen in place, so the arrays keep their
     shape and a row's arithmetic never depends on when the others finished.
     Trial points far out on an escape path may overflow; those values are
-    rejected by the line search, so the warnings are silenced here.
+    rejected by the line search, so the warnings are silenced here.  The
+    escape test runs once more after the last pass; a row still active then
+    ran out of its budget, whatever its gradient, because an escaping row's
+    gradient flattens before its spread reaches the escape ratio.
     """
     log_escape = math.log(ESCAPE_RATIO)
     R = len(W0)
@@ -329,7 +362,6 @@ def _run_restarts(problem: _SliceProblem, W0: np.ndarray, max_iterations: int) -
             raise SolverError("objective overflowed at a projected start point")
         active = np.ones(R, dtype=bool)
         escaped = np.zeros(R, dtype=bool)
-        stalled = np.zeros(R, dtype=bool)
         iterations = np.full(R, max_iterations)
 
         for iteration in range(1, max_iterations + 1):
@@ -347,8 +379,11 @@ def _run_restarts(problem: _SliceProblem, W0: np.ndarray, max_iterations: int) -
                 problem, W, F, G, weights, D, residual, active)
             finished = exhausted | (moved & (_row_norms(W_new - W) < STEP_TOLERANCE))
             W = W_new
-            stalled |= finished
             iterations[finished] = iteration
+            active &= ~finished
+        else:
+            finished = active & (W.max(axis=1) - W.min(axis=1) > log_escape)
+            escaped |= finished
             active &= ~finished
 
         residual = _row_norms(problem.tangent(W, G)[0])
@@ -356,12 +391,12 @@ def _run_restarts(problem: _SliceProblem, W0: np.ndarray, max_iterations: int) -
     for r in range(R):
         if escaped[r]:
             outcome = "escaped"
+        elif active[r]:
+            outcome = "out_of_budget"
         elif residual[r] < GRADIENT_TOLERANCE:
             outcome = "converged"
-        elif stalled[r]:
-            outcome = "stalled"
         else:
-            outcome = "out_of_budget"
+            outcome = "stalled"
         results.append(_RestartResult(w=W[r], value=float(F[r]), residual=float(residual[r]),
                                       iterations=int(iterations[r]), outcome=outcome))
     return results
@@ -375,17 +410,36 @@ def _distinct(points: list[tuple[float, ...]], candidate: tuple[float, ...]) -> 
     return True
 
 
-def _maximize(spec: HomogeneousSpaceSpec, indices: tuple[int, ...], z, options: SolverOptions) -> OptimizationReport:
-    check_summand_count(len(indices))
+def _maximize(spec: HomogeneousSpaceSpec, slices: list[tuple[int, ...]], z,
+              options: SolverOptions) -> list[OptimizationReport]:
+    """Maximize hatS on every slice; slices of equal dimension advance
+    together, as many to a batch as MAX_BATCH_ENTRIES allows."""
     zs = coefficients_array(z, spec.s, "z")
-    problem = _SliceProblem(spec, indices, zs)
-    primes = _HALTON_PRIMES[: problem.k]
+    groups: dict[int, list[int]] = {}
+    for position, indices in enumerate(slices):
+        check_summand_count(len(indices))
+        groups.setdefault(len(indices), []).append(position)
+    R = options.restarts
+    reports: list[OptimizationReport | None] = [None] * len(slices)
+    for k, positions in groups.items():
+        systems = [slice_term_system(spec, slices[p]) for p in positions]
+        terms = max(len(system.coefficients) for system in systems)
+        per_batch = max(1, MAX_BATCH_ENTRIES // (R * terms * k))
+        starts = options.start_box * (2.0 * np.array([
+            [_halton(options.seed * R + r + 1, p) for p in _HALTON_PRIMES[:k]]
+            for r in range(R)
+        ]) - 1.0)
+        for first in range(0, len(positions), per_batch):
+            batch = positions[first: first + per_batch]
+            problem = _SliceProblem(spec, systems[first: first + per_batch], zs, R)
+            results = _run_restarts(problem, np.tile(starts, (len(batch), 1)), options.max_iterations)
+            for j, p in enumerate(batch):
+                reports[p] = _report(results[j * R: (j + 1) * R], options)
+    return reports
 
-    starts = np.array([
-        [_halton(options.seed * options.restarts + r + 1, p) for p in primes]
-        for r in range(options.restarts)
-    ])
-    results = _run_restarts(problem, options.start_box * (2.0 * starts - 1.0), options.max_iterations)
+
+def _report(results: list[_RestartResult], options: SolverOptions) -> OptimizationReport:
+    """One slice's report from the restarts that ran on it."""
     total_iterations = sum(r.iterations for r in results)
     outcomes = RestartOutcomes(**Counter(r.outcome for r in results))
     diagnostics = outcomes.describe(options.max_iterations)
@@ -438,6 +492,20 @@ def _maximize(spec: HomogeneousSpaceSpec, indices: tuple[int, ...], z, options: 
     )
 
 
+def maximize_hatS_on_slices(spec: HomogeneousSpaceSpec, Js, z,
+                            options: SolverOptions | None = None) -> tuple[OptimizationReport, ...]:
+    """Maximize hatS over the unit-trace slice of each subalgebra in Js.
+
+    Slices of equal dimension are solved together, and each report is the
+    one :func:`maximize_hatS_on_slice` gives for that slice alone.  Every J
+    needs at least two summands.
+    """
+    slices = [_resolve_indices(spec, J) for J in Js]
+    if any(len(indices) < 2 for indices in slices):
+        raise ValueError("slice maximization needs at least two summands in J")
+    return tuple(_maximize(spec, slices, z, options or SolverOptions()))
+
+
 def maximize_hatS_on_slice(spec: HomogeneousSpaceSpec, J, z,
                            options: SolverOptions | None = None) -> OptimizationReport:
     """Maximize hatS over the unit-trace slice of the subalgebra J.
@@ -445,10 +513,7 @@ def maximize_hatS_on_slice(spec: HomogeneousSpaceSpec, J, z,
     Requires at least two summands in J; a single summand makes the slice one
     exactly determined point and needs no search.
     """
-    indices = _resolve_indices(spec, J)
-    if len(indices) < 2:
-        raise ValueError("slice maximization needs at least two summands in J")
-    return _maximize(spec, indices, z, options or SolverOptions())
+    return maximize_hatS_on_slices(spec, (J,), z, options)[0]
 
 
 def maximize_S_on_MT(spec: HomogeneousSpaceSpec, z,
@@ -465,7 +530,7 @@ def maximize_S_on_MT(spec: HomogeneousSpaceSpec, z,
             converged=True,
             first_order_residual=0.0,
         )
-    return _maximize(spec, tuple(spec.summand_indices()), zs, options or SolverOptions())
+    return _maximize(spec, [tuple(spec.summand_indices())], zs, options or SolverOptions())[0]
 
 
 def verify_prescribed_ricci(spec: HomogeneousSpaceSpec, x, z) -> VerificationResult:

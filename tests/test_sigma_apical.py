@@ -16,6 +16,7 @@ from homricci.sigma_apical import (
     wallach_existence_check,
 )
 from homricci.space_model import load_space_spec, wallach_space
+from homricci.subalgebras import intermediate_subalgebras
 
 from oracles import (
     all_closed_subsets,
@@ -337,3 +338,15 @@ def test_verdict_as_dict_shape(g2):
     assert payload["status"] == "guaranteed"
     assert payload["apical"] == [3]
     assert payload["sigma"]["witness"] == [4.0]
+
+
+def test_repeated_existence_check_is_identical():
+    # slices are solved in groups; the grouping must not make a verdict
+    # depend on anything but its inputs
+    for draw in range(6):
+        rng = np.random.default_rng(9400 + draw)
+        spec = random_space_spec(rng, max_summands=8, density=(0.05, 0.15, 0.35)[draw % 3])
+        if not intermediate_subalgebras(spec).all_proper or not spec.triples.nonzero_multisets():
+            continue
+        z = tuple(float(v) for v in rng.uniform(0.5, 2.0, spec.s))
+        assert existence_check(spec, z).as_dict() == existence_check(spec, z).as_dict()

@@ -9,12 +9,13 @@ from homricci.solver import (
     escape_curve_S,
     maximize_S_on_MT,
     maximize_hatS_on_slice,
+    maximize_hatS_on_slices,
     project_slice_coefficients,
     verify_prescribed_ricci,
 )
 from homricci.space_model import load_space_spec
 
-from oracles import psi_peak_location, psi_peak_value
+from oracles import all_closed_subsets, psi_peak_location, psi_peak_value, random_space_spec
 
 
 @pytest.fixture(scope="module")
@@ -258,3 +259,60 @@ def test_diagnostics_name_every_nonzero_count(f4):
     assert len(nonzero) >= 2
     assert len(clauses) == len(nonzero)
     assert all(clause.startswith(f"{n}/16 restarts") for clause, n in zip(clauses, nonzero))
+
+
+def test_budget_exhausted_restart_is_never_converged(f4):
+    # cut short on the escape path the gradient has already flattened below
+    # the convergence tolerance while the spread is still short of the
+    # escape ratio; such a restart ran out of budget, it did not converge
+    for budget in range(14, 27):
+        report = maximize_S_on_MT(f4, (1.75, 1, 1, 1), SolverOptions(max_iterations=budget))
+        assert not report.converged, budget
+        assert report.outcomes.converged == 0, budget
+        assert report.outcomes.total == 16, budget
+
+
+# ---------------------------------------------------------------------------
+# slices solved together
+# ---------------------------------------------------------------------------
+
+
+def test_grouped_slices_match_slices_alone():
+    # every composite closed set of each draw, all at once and one at a time
+    solved = 0
+    for draw in range(30):
+        rng = np.random.default_rng(9300 + draw)
+        spec = random_space_spec(rng, max_summands=8, density=(0.05, 0.15, 0.35)[draw % 3])
+        z = tuple(float(v) for v in rng.uniform(0.5, 2.0, spec.s))
+        slices = sorted((sorted(J) for J in all_closed_subsets(spec) if len(J) > 1), key=lambda J: (len(J), J))
+        grouped = maximize_hatS_on_slices(spec, slices, z)
+        assert len(grouped) == len(slices)
+        for J, together in zip(slices, grouped):
+            alone = maximize_hatS_on_slice(spec, J, z)
+            where = f"draw {draw}, J = {J}"
+            assert together.outcomes == alone.outcomes, where
+            assert together.iterations == alone.iterations, where
+            assert together.converged == alone.converged, where
+            assert together.escaped == alone.escaped, where
+            assert together.value == pytest.approx(alone.value, rel=1e-12, abs=1e-12), where
+            assert together.argmax == pytest.approx(alone.argmax, rel=1e-9), where
+            solved += 1
+    assert solved >= 100
+
+
+def test_batches_split_a_group_without_changing_reports(monkeypatch):
+    # a bound on the work arrays splits a large group into several batches
+    import homricci.solver as solver
+
+    for draw in (9, 15, 21):
+        rng = np.random.default_rng(9300 + draw)
+        spec = random_space_spec(rng, max_summands=8, density=(0.05, 0.15, 0.35)[draw % 3])
+        z = tuple(float(v) for v in rng.uniform(0.5, 2.0, spec.s))
+        slices = sorted((sorted(J) for J in all_closed_subsets(spec) if len(J) > 1), key=lambda J: (len(J), J))
+        whole = maximize_hatS_on_slices(spec, slices, z)
+        monkeypatch.setattr(solver, "MAX_BATCH_ENTRIES", 1000)
+        split = maximize_hatS_on_slices(spec, slices, z)
+        monkeypatch.undo()
+        for J, a, b in zip(slices, whole, split):
+            assert a.outcomes == b.outcomes and a.iterations == b.iterations, f"draw {draw}, J = {J}"
+            assert a.value == pytest.approx(b.value, rel=1e-12, abs=1e-12), f"draw {draw}, J = {J}"
