@@ -41,11 +41,9 @@ from .solver import (
 )
 from .space_model import (
     HomogeneousSpaceSpec,
-    MetricCoefficients,
     SpecError,
     StructureConstantTable,
     SubalgebraIndexSet,
-    TensorCoefficients,
     builtin_names,
     builtin_space,
     load_space_spec,
@@ -64,8 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "HomogeneousSpaceSpec",
-    "MetricCoefficients",
-    "TensorCoefficients",
     "SubalgebraIndexSet",
     "StructureConstantTable",
     "SpecError",

@@ -14,7 +14,6 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -27,7 +26,9 @@ from .space_model import (
     SpecError,
     builtin_names,
     builtin_space,
+    coefficients_array,
     load_space_spec,
+    parse_number,
     space_spec_to_document,
 )
 from .subalgebras import intermediate_subalgebras
@@ -41,24 +42,8 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def _parse_number(text: str, what: str) -> float:
-    try:
-        return float(Fraction(text))
-    except (ValueError, ZeroDivisionError):
-        try:
-            return float(text)
-        except ValueError:
-            raise SpecError(f"cannot parse {text!r} as a number", what) from None
-
-
 def _parse_tensor(text: str, s: int) -> tuple[float, ...]:
-    parts = [p.strip() for p in text.split(",")]
-    values = tuple(_parse_number(p, "--T") for p in parts)
-    if len(values) != s:
-        raise SpecError(f"--T needs {s} comma-separated values, got {len(values)}", "--T")
-    if any(v <= 0 for v in values):
-        raise SpecError("--T components must be positive", "--T")
-    return values
+    return coefficients_array([parse_number(p, "--T") for p in text.split(",")], s, "--T")
 
 
 def _load_spec(args) -> HomogeneousSpaceSpec:
@@ -132,8 +117,8 @@ def parse_grid_axis(text: str, s: int) -> SweepAxis:
         n = int(steps)
     except ValueError:
         raise SpecError(f"grid axis {text!r}: index and steps must be integers", "--grid") from None
-    minimum = _parse_number(lo, "--grid")
-    maximum = _parse_number(hi, "--grid")
+    minimum = parse_number(lo, "--grid")
+    maximum = parse_number(hi, "--grid")
     if not 1 <= index <= s:
         raise SpecError(f"grid axis index {index} out of range 1..{s}", "--grid")
     if minimum <= 0:

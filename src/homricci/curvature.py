@@ -28,9 +28,9 @@ import numpy as np
 
 from .space_model import (
     HomogeneousSpaceSpec,
-    SubalgebraIndexSet,
     coefficients_array,
     memoize_per_spec,
+    resolve_indices,
 )
 
 __all__ = [
@@ -69,7 +69,8 @@ class TermSystem:
         """
         return self.coefficients * np.exp(w @ self.exponents.T)
 
-    # single-point views of log_weights; bench/trace.py patches them by name
+    # single-point views of log_weights; scalar_gradient calls gradient_log,
+    # and bench/trace.py patches all three by name
     def value_log(self, w: np.ndarray) -> float:
         return float(self.log_weights(w).sum())
 
@@ -79,21 +80,6 @@ class TermSystem:
 
     def hessian_log(self, w: np.ndarray) -> np.ndarray:
         return (self.exponents.T * self.log_weights(w)) @ self.exponents
-
-
-def _resolve_indices(spec: HomogeneousSpaceSpec, indices) -> tuple[int, ...]:
-    if indices is None:
-        return tuple(spec.summand_indices())
-    if isinstance(indices, SubalgebraIndexSet):
-        out = indices.sorted
-    else:
-        out = tuple(sorted(set(int(i) for i in indices)))
-    if not out:
-        raise ValueError("index set must be non-empty")
-    for i in out:
-        if not 1 <= i <= spec.s:
-            raise ValueError(f"index {i} out of range 1..{spec.s}")
-    return out
 
 
 def _compile(spec: HomogeneousSpaceSpec, indices: tuple[int, ...]) -> TermSystem:
@@ -142,7 +128,7 @@ def _term_system_cached(spec: HomogeneousSpaceSpec, indices: tuple[int, ...]) ->
 
 def slice_term_system(spec: HomogeneousSpaceSpec, indices=None) -> TermSystem:
     """Compiled monomial form of hatS on the given slice (full set by default)."""
-    return _term_system_cached(spec, _resolve_indices(spec, indices))
+    return _term_system_cached(spec, resolve_indices(spec, indices))
 
 
 def hat_scalar_curvature(spec: HomogeneousSpaceSpec, indices, y) -> float:
@@ -151,7 +137,7 @@ def hat_scalar_curvature(spec: HomogeneousSpaceSpec, indices, y) -> float:
     ``y`` lists the slice coefficients by ascending summand index.  On the
     full index set this coincides with :func:`scalar_curvature` exactly.
     """
-    resolved = _resolve_indices(spec, indices)
+    resolved = resolve_indices(spec, indices)
     ys = coefficients_array(y, len(resolved), "y")
     system = _term_system_cached(spec, resolved)
     return system.value(np.array(ys))
@@ -160,33 +146,24 @@ def hat_scalar_curvature(spec: HomogeneousSpaceSpec, indices, y) -> float:
 def scalar_curvature(spec: HomogeneousSpaceSpec, x) -> float:
     """Scalar curvature of the diagonal metric with coefficients x."""
     xs = coefficients_array(x, spec.s, "x")
-    system = _term_system_cached(spec, tuple(spec.summand_indices()))
-    return system.value(np.array(xs))
+    return slice_term_system(spec).value(np.array(xs))
 
 
 def metric_trace_of_T(spec: HomogeneousSpaceSpec, indices, y, z) -> float:
     """Trace of the prescribed tensor with respect to the slice scalar
     product: sum of d_i z_i / y_i over the slice.  The full index set gives
     the normalisation constraint defining the search slice."""
-    resolved = _resolve_indices(spec, indices)
+    resolved = resolve_indices(spec, indices)
     ys = coefficients_array(y, len(resolved), "y")
     zs = coefficients_array(z, spec.s, "z")
     return float(sum(spec.d[i - 1] * zs[i - 1] / ys[p] for p, i in enumerate(resolved)))
 
 
 def scalar_gradient(spec: HomogeneousSpaceSpec, x) -> np.ndarray:
-    """Partial derivatives of S with respect to each metric coefficient.
-
-    dS/dx_m = -d_m b_m / (2 x_m^2) - 1/4 sum_{i,j} [ijm] / (x_i x_j)
-              + 1/2 sum_{j,k} [mjk] x_k / (x_m^2 x_j)
-    """
+    """Partial derivatives of S with respect to each metric coefficient,
+    dS/dx_m = (dS/dw_m) / x_m with w = log x, from the full term system."""
     xs = np.array(coefficients_array(x, spec.s, "x"))
-    grad = np.array([-spec.d[m] * spec.b[m] / (2.0 * xs[m] * xs[m]) for m in range(spec.s)])
-    for (a, b, c), value in spec.triples.ordered_entries:
-        ia, ib, ic = a - 1, b - 1, c - 1
-        grad[ic] -= 0.25 * value / (xs[ia] * xs[ib])
-        grad[ia] += 0.5 * value * xs[ic] / (xs[ia] * xs[ia] * xs[ib])
-    return grad
+    return slice_term_system(spec).gradient_log(np.log(xs)) / xs
 
 
 @dataclass(frozen=True)
@@ -203,20 +180,14 @@ class RicciCoefficients:
 def ricci_coefficients(spec: HomogeneousSpaceSpec, x) -> RicciCoefficients:
     """Ricci curvature of the diagonal metric, in the same diagonal coordinates.
 
-    Closed form for the eigenvalues:
+    Ric is the gradient of S on the diagonal metrics: R_m = -(x_m^2 / d_m)
+    dS/dx_m.  The closed form of r_m = R_m / x_m,
 
         r_m = b_m / (2 x_m) + 1/(4 d_m) sum_{j,k} [mjk] x_m / (x_j x_k)
-            - 1/(2 d_m) sum_{j,k} [mjk] x_k / (x_m x_j)
+            - 1/(2 d_m) sum_{j,k} [mjk] x_k / (x_m x_j),
 
-    which satisfies R_m = -(x_m^2 / d_m) dS/dx_m identically; the gradient
-    route is kept as an independent cross-check in the test suite.
+    is kept as an independent check in the test suite.
     """
     xs = np.array(coefficients_array(x, spec.s, "x"))
-    r = np.array([spec.b[m] / (2.0 * xs[m]) for m in range(spec.s)])
-    for (a, b, c), value in spec.triples.ordered_entries:
-        ia, ib, ic = a - 1, b - 1, c - 1
-        dm = spec.d[ia]
-        r[ia] += 0.25 * value * xs[ia] / (dm * xs[ib] * xs[ic])
-        r[ia] -= 0.5 * value * xs[ic] / (dm * xs[ia] * xs[ib])
-    R = r * xs
-    return RicciCoefficients(R=tuple(float(v) for v in R), r=tuple(float(v) for v in r))
+    R = -(xs * xs / np.array(spec.d)) * scalar_gradient(spec, xs)
+    return RicciCoefficients(R=tuple(float(v) for v in R), r=tuple(float(v) for v in R / xs))

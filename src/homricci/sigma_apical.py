@@ -22,6 +22,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from .curvature import slice_term_system
 from .solver import (
     OptimizationReport,
     SolverError,
@@ -34,6 +35,7 @@ from .space_model import (
     SubalgebraIndexSet,
     coefficients_array,
     trace_Q_restricted,
+    wallach_space,
 )
 from .subalgebras import (
     _as_index_set,
@@ -146,27 +148,18 @@ class ExistenceVerdict:
 def sigma_irreducible(spec: HomogeneousSpaceSpec, i: int, z) -> SigmaResult:
     """Closed-form sigma for a single-summand subalgebra.
 
-    The slice is the single point y = d_i z_i, so the supremum is attained
-    there and equals
-
-        (d_i b_i / 2 - [iii] / 4 - 1/2 sum_{j,k != i} [ijk]) / (d_i z_i).
+    The slice is the single point y = d_i z_i, and hatS on it is one term
+    c / y with c = d_i b_i / 2 - [iii] / 4 - 1/2 sum_{j,k != i} [ijk], so
+    the supremum is attained there and equals c / (d_i z_i).
     """
     zs = coefficients_array(z, spec.s, "z")
-    if not 1 <= i <= spec.s:
-        raise ValueError(f"summand index {i} out of range 1..{spec.s}")
     J = SubalgebraIndexSet.of(i)
     if not is_bracket_closed(spec, J):
         raise ValueError(f"summand {i} does not span a subalgebra")
-    cross = 0.0
-    for (a, b, c), value in spec.triples.ordered_entries:
-        if a == i and b != i and c != i:
-            cross += value
-    self_term = spec.triples.value(i, i, i)
-    numerator = 0.5 * spec.d[i - 1] * spec.b[i - 1] - 0.25 * self_term - 0.5 * cross
     point = spec.d[i - 1] * zs[i - 1]
     return SigmaResult(
         J=J,
-        value=numerator / point,
+        value=float(slice_term_system(spec, J).coefficients[0]) / point,
         attained=True,
         witness=(point,),
         source=SigmaSource.CLOSED_FORM_IRREDUCIBLE,
@@ -387,12 +380,8 @@ def wallach_existence_check(d: Sequence[int], a, z) -> ExistenceVerdict:
 
         (d_p - 2a) * sum_{i != p} d_i z_i  <  (d - d_p) * d_p * z_p.
     """
-    dims = tuple(int(v) for v in d)
-    if len(dims) != 3 or any(v < 1 for v in dims):
-        raise ValueError("d must be three positive integers")
-    strength = float(a)
-    if strength < 0:
-        raise ValueError("bracket strength a must be non-negative")
+    spec = wallach_space(d, a)
+    dims, strength = spec.d, spec.constant(1, 2, 3)
     zs = coefficients_array(z, 3, "z")
     if strength == 0.0:
         return _degenerate_verdict()

@@ -39,13 +39,12 @@ import numpy as np
 
 from .curvature import (
     TermSystem,
-    _resolve_indices,
     metric_trace_of_T,
     ricci_coefficients,
     scalar_curvature,
     slice_term_system,
 )
-from .space_model import HomogeneousSpaceSpec, coefficients_array
+from .space_model import HomogeneousSpaceSpec, coefficients_array, resolve_indices
 from .subalgebras import check_summand_count
 
 __all__ = [
@@ -180,11 +179,8 @@ def _halton(index: int, base: int) -> float:
 def project_slice_coefficients(spec: HomogeneousSpaceSpec, indices, z, y) -> tuple[float, ...]:
     """Scale y onto the unit-trace slice: y -> lambda y with
     lambda = sum d_i z_i / y_i.  Exact and idempotent up to rounding."""
-    resolved = _resolve_indices(spec, indices)
-    ys = coefficients_array(y, len(resolved), "y")
-    zs = coefficients_array(z, spec.s, "z")
-    lam = sum(spec.d[i - 1] * zs[i - 1] / ys[p] for p, i in enumerate(resolved))
-    return tuple(lam * v for v in ys)
+    lam = metric_trace_of_T(spec, indices, y, z)
+    return tuple(lam * float(v) for v in y)
 
 
 def _row_norms(X: np.ndarray) -> np.ndarray:
@@ -500,7 +496,7 @@ def maximize_hatS_on_slices(spec: HomogeneousSpaceSpec, Js, z,
     one :func:`maximize_hatS_on_slice` gives for that slice alone.  Every J
     needs at least two summands.
     """
-    slices = [_resolve_indices(spec, J) for J in Js]
+    slices = [resolve_indices(spec, J) for J in Js]
     if any(len(indices) < 2 for indices in slices):
         raise ValueError("slice maximization needs at least two summands in J")
     return tuple(_maximize(spec, slices, z, options or SolverOptions()))
@@ -560,18 +556,17 @@ def escape_curve_S(spec: HomogeneousSpaceSpec, J, y, z, t: float) -> float:
     sets every complement coefficient to t, staying on the unit-trace slice
     for every admissible t.  As t grows the value approaches hatS(y).
     """
-    indices = _resolve_indices(spec, J)
+    indices = resolve_indices(spec, J)
     zs = coefficients_array(z, spec.s, "z")
     complement = [i for i in spec.summand_indices() if i not in set(indices)]
     tr = sum(spec.d[i - 1] * zs[i - 1] for i in complement)
     if not t > tr:
         raise ValueError(f"t must exceed the pole at {tr}, got {t}")
 
-    ys = coefficients_array(y, len(indices), "y")
-    slice_trace = sum(spec.d[i - 1] * zs[i - 1] / ys[p] for p, i in enumerate(indices))
+    slice_trace = metric_trace_of_T(spec, indices, y, zs)
     if abs(slice_trace - 1.0) > 1e-8:
         raise ValueError(f"y is not on the unit-trace slice (trace = {slice_trace})")
-    ys = project_slice_coefficients(spec, indices, zs, ys)
+    ys = tuple(slice_trace * float(v) for v in y)
 
     phi = t / (t - tr)
     x_full = [0.0] * spec.s

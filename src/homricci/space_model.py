@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,9 +28,9 @@ __all__ = [
     "SpecError",
     "StructureConstantTable",
     "HomogeneousSpaceSpec",
-    "MetricCoefficients",
-    "TensorCoefficients",
     "SubalgebraIndexSet",
+    "parse_number",
+    "resolve_indices",
     "load_space_spec",
     "space_spec_to_document",
     "builtin_space",
@@ -47,18 +48,21 @@ class SpecError(ValueError):
         super().__init__(message if field is None else f"{field}: {message}")
 
 
-def _as_value(raw, field: str) -> float:
-    """Coerce a JSON number or a rational string like ``"7/2"`` to float."""
-    if isinstance(raw, bool):
+def parse_number(raw, field: str) -> float:
+    """The value of a JSON number or of a decimal or rational string such as
+    ``" 1.5"`` or ``"7/2"``.  Booleans, and values that are not finite or
+    overflow a float, raise :class:`SpecError` naming ``field``."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
         raise SpecError("expected a number or rational string", field)
-    if isinstance(raw, (int, float)):
-        return float(raw)
-    if isinstance(raw, str):
-        try:
-            return float(Fraction(raw))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SpecError(f"cannot parse {raw!r} as a rational", field) from exc
-    raise SpecError("expected a number or rational string", field)
+    try:
+        value = float(Fraction(raw)) if isinstance(raw, str) else float(raw)
+    except (ValueError, ZeroDivisionError):
+        raise SpecError(f"cannot parse {raw!r} as a number", field) from None
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise SpecError(f"{raw!r} is not a finite number", field)
+    return value
 
 
 @dataclass(frozen=True)
@@ -73,13 +77,15 @@ class StructureConstantTable:
 
     @classmethod
     def from_items(cls, items: Mapping[tuple[int, int, int], float] | Iterable) -> "StructureConstantTable":
+        """Table from (i, j, k) keys in any order and values that
+        :func:`parse_number` reads; index ranges are the spec's to check."""
         pairs = items.items() if isinstance(items, Mapping) else items
         seen: dict[tuple[int, int, int], float] = {}
         for key, raw in pairs:
             multiset = tuple(sorted(int(k) for k in key))
             if multiset in seen:
                 raise SpecError("duplicate multiset", f"triples[{multiset}]")
-            value = float(raw)
+            value = parse_number(raw, f"triples[{multiset}].value")
             if value < 0:
                 raise SpecError("negative structure constant", f"triples[{multiset}].value")
             seen[multiset] = value
@@ -118,8 +124,10 @@ class StructureConstantTable:
 class HomogeneousSpaceSpec:
     """Validated description of a homogeneous space.
 
-    ``b`` defaults to all ones, the normalisation in which the background
-    scalar product is the negative of the Killing form.
+    Every range check on a space is made here, however the spec is built.
+    ``b`` may hold anything :func:`parse_number` reads and is stored as
+    floats; all ones is the normalisation in which the background scalar
+    product is the negative of the Killing form.
     """
 
     name: str
@@ -128,20 +136,23 @@ class HomogeneousSpaceSpec:
     triples: StructureConstantTable
 
     def __post_init__(self):
-        if not self.name:
+        if not isinstance(self.name, str) or not self.name:
             raise SpecError("name must be a non-empty string", "name")
+        object.__setattr__(self, "d", tuple(self.d))
         if len(self.d) < 1:
             raise SpecError("need at least one summand", "d")
         for pos, dim in enumerate(self.d):
-            if not isinstance(dim, int) or dim < 1:
+            if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
                 raise SpecError("summand dimension must be a positive integer", f"d[{pos + 1}]")
         if sum(self.d) < 3:
             raise SpecError("total dimension must be at least 3", "d")
         if len(self.b) != len(self.d):
             raise SpecError(f"expected {len(self.d)} Killing coefficients", "b")
-        for pos, coeff in enumerate(self.b):
-            if not coeff >= 0:
+        b = tuple(parse_number(coeff, f"b[{pos + 1}]") for pos, coeff in enumerate(self.b))
+        for pos, coeff in enumerate(b):
+            if coeff < 0:
                 raise SpecError("Killing coefficient must be non-negative", f"b[{pos + 1}]")
+        object.__setattr__(self, "b", b)
         s = len(self.d)
         for multiset, _ in self.triples.entries:
             for idx in multiset:
@@ -183,40 +194,6 @@ def memoize_per_spec(compute):
 
     cached.cache = cache
     return cached
-
-
-def _positive_tuple(values: Sequence[float], what: str) -> tuple[float, ...]:
-    out = tuple(float(v) for v in values)
-    for pos, v in enumerate(out):
-        if not v > 0:
-            raise ValueError(f"{what}[{pos + 1}] must be positive, got {v}")
-    return out
-
-
-@dataclass(frozen=True)
-class MetricCoefficients:
-    """Diagonal coordinates x_i > 0 of an invariant metric."""
-
-    x: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", _positive_tuple(self.x, "x"))
-
-    def __len__(self) -> int:
-        return len(self.x)
-
-
-@dataclass(frozen=True)
-class TensorCoefficients:
-    """Diagonal coordinates z_i > 0 of the prescribed symmetric tensor."""
-
-    z: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", _positive_tuple(self.z, "z"))
-
-    def __len__(self) -> int:
-        return len(self.z)
 
 
 @dataclass(frozen=True)
@@ -267,19 +244,33 @@ class SubalgebraIndexSet:
         return "{" + ",".join(str(i) for i in self.sorted) + "}"
 
 
+def resolve_indices(spec: HomogeneousSpaceSpec, indices) -> tuple[int, ...]:
+    """Ascending summand indices named by ``indices`` (any iterable or a
+    :class:`SubalgebraIndexSet`; ``None`` names every summand), checked
+    to be non-empty and in range."""
+    if indices is None:
+        return tuple(spec.summand_indices())
+    if isinstance(indices, SubalgebraIndexSet):
+        out = indices.sorted
+    else:
+        out = tuple(sorted(set(int(i) for i in indices)))
+    if not out:
+        raise ValueError("index set must be non-empty")
+    for i in out:
+        if not 1 <= i <= spec.s:
+            raise ValueError(f"index {i} out of range 1..{spec.s}")
+    return out
+
+
 def coefficients_array(values, expected_length: int, what: str) -> tuple[float, ...]:
-    """Accept a coefficient wrapper, sequence or scalar-per-index mapping and
-    return a validated positive tuple of the expected length."""
-    if isinstance(values, MetricCoefficients):
-        values = values.x
-    elif isinstance(values, TensorCoefficients):
-        values = values.z
+    """``values`` as a tuple of floats, checked to have the expected length
+    and to be finite and positive."""
     out = tuple(float(v) for v in values)
     if len(out) != expected_length:
         raise ValueError(f"{what} has length {len(out)}, expected {expected_length}")
     for pos, v in enumerate(out):
-        if not v > 0:
-            raise ValueError(f"{what}[{pos + 1}] must be positive, got {v}")
+        if not 0 < v < math.inf:
+            raise ValueError(f"{what}[{pos + 1}] must be finite and positive, got {v}")
     return out
 
 
@@ -301,10 +292,12 @@ def coefficients_array(values, expected_length: int, what: str) -> tuple[float, 
 
 
 def load_space_spec(document: str | bytes | dict) -> HomogeneousSpaceSpec:
-    """Parse and validate a space description document.
+    """Parse a space description document.
 
-    ``document`` may be JSON text or an already-parsed object.  Violations
-    raise :class:`SpecError` with the offending field path.
+    ``document`` may be JSON text or an already-parsed object.  Only the
+    document's shape is checked here; :class:`StructureConstantTable` and
+    :class:`HomogeneousSpaceSpec` check every value.  Violations raise
+    :class:`SpecError` with the offending field path.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -313,71 +306,32 @@ def load_space_spec(document: str | bytes | dict) -> HomogeneousSpaceSpec:
             raise SpecError(f"not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise SpecError("top-level document must be an object")
-
-    name = document.get("name")
-    if not isinstance(name, str) or not name:
-        raise SpecError("required non-empty string", "name")
-
-    raw_d = document.get("d")
-    if not isinstance(raw_d, list) or not raw_d:
-        raise SpecError("required non-empty array of integers", "d")
-    dims = []
-    for pos, value in enumerate(raw_d):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SpecError("summand dimension must be an integer", f"d[{pos + 1}]")
-        if value < 1:
-            raise SpecError("summand dimension must be >= 1", f"d[{pos + 1}]")
-        dims.append(value)
-    s = len(dims)
-    if sum(dims) < 3:
-        raise SpecError("total dimension must be at least 3", "d")
-
-    raw_b = document.get("b")
-    if raw_b is None:
-        killing = [1.0] * s
-    else:
-        if not isinstance(raw_b, list) or len(raw_b) != s:
-            raise SpecError(f"expected array of {s} values", "b")
-        killing = [_as_value(v, f"b[{pos + 1}]") for pos, v in enumerate(raw_b)]
-        for pos, v in enumerate(killing):
-            if v < 0:
-                raise SpecError("Killing coefficient must be non-negative", f"b[{pos + 1}]")
-
+    d = document.get("d")
+    if not isinstance(d, list):
+        raise SpecError("required array of integers", "d")
+    b = document.get("b", [1.0] * len(d))
+    if not isinstance(b, list):
+        raise SpecError("must be an array of values", "b")
     raw_triples = document.get("triples", [])
     if not isinstance(raw_triples, list):
         raise SpecError("must be an array of entries", "triples")
-    seen: dict[tuple[int, int, int], float] = {}
+    items = []
     for pos, entry in enumerate(raw_triples):
         path = f"triples[{pos}]"
         if not isinstance(entry, dict):
             raise SpecError("entry must be an object", path)
-        try:
-            i, j, k = entry["i"], entry["j"], entry["k"]
-        except KeyError as exc:
-            raise SpecError(f"missing key {exc.args[0]!r}", path) from exc
-        for label, idx in (("i", i), ("j", j), ("k", k)):
+        for key in ("i", "j", "k", "value"):
+            if key not in entry:
+                raise SpecError(f"missing key {key!r}", path)
+        ijk = (entry["i"], entry["j"], entry["k"])
+        for label, idx in zip("ijk", ijk):
             if isinstance(idx, bool) or not isinstance(idx, int):
                 raise SpecError("index must be an integer", f"{path}.{label}")
-            if not 1 <= idx <= s:
-                raise SpecError(f"index {idx} out of range 1..{s}", f"{path}.{label}")
-        if not (i <= j <= k):
+        if not ijk[0] <= ijk[1] <= ijk[2]:
             raise SpecError("indices must satisfy i <= j <= k", path)
-        if "value" not in entry:
-            raise SpecError("missing key 'value'", path)
-        value = _as_value(entry["value"], f"{path}.value")
-        if value < 0:
-            raise SpecError("negative structure constant", f"{path}.value")
-        multiset = (i, j, k)
-        if multiset in seen:
-            raise SpecError("duplicate multiset", path)
-        seen[multiset] = value
-
-    return HomogeneousSpaceSpec(
-        name=name,
-        d=tuple(dims),
-        b=tuple(killing),
-        triples=StructureConstantTable(entries=tuple(sorted(seen.items()))),
-    )
+        items.append((ijk, entry["value"]))
+    return HomogeneousSpaceSpec(name=document.get("name"), d=d, b=b,
+                                triples=StructureConstantTable.from_items(items))
 
 
 def space_spec_to_document(spec: HomogeneousSpaceSpec) -> dict:
@@ -448,14 +402,11 @@ def builtin_space(name: str) -> HomogeneousSpaceSpec:
 
 def wallach_space(d: Sequence[int], value, name: str = "wallach") -> HomogeneousSpaceSpec:
     """Three-summand space whose only possibly nonzero constant is [123]."""
-    dims = tuple(int(x) for x in d)
-    if len(dims) != 3:
+    if len(d) != 3:
         raise SpecError("exactly three summand dimensions required", "d")
-    a = _as_value(value, "triples[(1, 2, 3)].value")
-    if a < 0:
-        raise SpecError("negative structure constant", "triples[(1, 2, 3)].value")
-    triples = [] if a == 0.0 else [{"i": 1, "j": 2, "k": 3, "value": a}]
-    return load_space_spec({"name": name, "d": list(dims), "b": [1, 1, 1], "triples": triples})
+    a = parse_number(value, "triples[(1, 2, 3)].value")
+    return HomogeneousSpaceSpec(name=name, d=d, b=(1.0, 1.0, 1.0),
+                                triples=StructureConstantTable.from_items({(1, 2, 3): a} if a else {}))
 
 
 def trace_Q_restricted(spec: HomogeneousSpaceSpec, z, index_set: Iterable[int]) -> float:
@@ -463,10 +414,4 @@ def trace_Q_restricted(spec: HomogeneousSpaceSpec, z, index_set: Iterable[int]) 
     sum of d_i z_i over the set.  Covers both a subalgebra and its complement;
     the caller passes whichever index set it needs."""
     zs = coefficients_array(z, spec.s, "z")
-    indices = sorted(set(int(i) for i in index_set))
-    if not indices:
-        raise ValueError("index set must be non-empty")
-    for i in indices:
-        if not 1 <= i <= spec.s:
-            raise ValueError(f"index {i} out of range 1..{spec.s}")
-    return float(sum(spec.d[i - 1] * zs[i - 1] for i in indices))
+    return float(sum(spec.d[i - 1] * zs[i - 1] for i in resolve_indices(spec, index_set)))

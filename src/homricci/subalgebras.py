@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space_model import HomogeneousSpaceSpec, SubalgebraIndexSet, memoize_per_spec
+from .space_model import HomogeneousSpaceSpec, SubalgebraIndexSet, memoize_per_spec, resolve_indices
 
 __all__ = [
     "SubalgebraLattice",
@@ -51,10 +51,7 @@ def is_bracket_closed(spec: HomogeneousSpaceSpec, J) -> bool:
     A nonzero constant on a multiset with exactly two slots inside J
     witnesses a bracket of two members landing outside, so J fails.
     """
-    Jset = _as_index_set(J).indices
-    for i in Jset:
-        if not 1 <= i <= spec.s:
-            raise ValueError(f"index {i} out of range 1..{spec.s}")
+    Jset = set(resolve_indices(spec, J))
     for multiset, value in spec.triples.nonzero_multisets():
         inside = sum(1 for idx in multiset if idx in Jset)
         if inside == 2:

@@ -47,6 +47,26 @@ def brute_force_hat_curvature(spec: HomogeneousSpaceSpec, J, y) -> float:
     return total
 
 
+def brute_force_ricci(spec: HomogeneousSpaceSpec, x) -> tuple[list[float], list[float]]:
+    """Dense s^3 closed form of the Ricci coefficients, returned as (R, r):
+
+        r_m = b_m / (2 x_m) + 1/(4 d_m) sum_{j,k} [mjk] x_m / (x_j x_k)
+            - 1/(2 d_m) sum_{j,k} [mjk] x_k / (x_m x_j),    R_m = x_m r_m.
+    """
+    xs = [float(v) for v in x]
+    s = spec.s
+    r = []
+    for m in range(1, s + 1):
+        value = spec.b[m - 1] / (2.0 * xs[m - 1])
+        for j in range(1, s + 1):
+            for k in range(1, s + 1):
+                c = spec.constant(m, j, k)
+                value += c * xs[m - 1] / (4.0 * spec.d[m - 1] * xs[j - 1] * xs[k - 1])
+                value -= c * xs[k - 1] / (2.0 * spec.d[m - 1] * xs[m - 1] * xs[j - 1])
+        r.append(value)
+    return [xs[m] * r[m] for m in range(s)], r
+
+
 def central_difference_gradient(spec: HomogeneousSpaceSpec, x, rel_step: float = 1e-5) -> np.ndarray:
     from homricci.curvature import scalar_curvature
 

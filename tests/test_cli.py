@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -95,6 +96,44 @@ def test_check_bad_tensor_length(capsys):
 def test_check_nonpositive_tensor(capsys):
     code, _, _ = invoke(capsys, "check", "--builtin", "G2_U2_long", "--T", "1,-1,1")
     assert code == EXIT_INVALID_INPUT
+
+
+@pytest.mark.parametrize("tensor", ["inf,1,1", "nan,1,1", "1e400,1,1"])
+def test_check_non_finite_tensor_is_exit_2(capsys, tensor):
+    code, out, err = invoke(capsys, "check", "--builtin", "G2_U2_long", "--T", tensor)
+    assert code == EXIT_INVALID_INPUT
+    assert out == ""
+    assert err.startswith("error: --T: ") and "Traceback" not in err
+
+
+def test_sweep_non_finite_grid_is_exit_2(capsys):
+    code, out, err = invoke(capsys, "sweep", "--builtin", "G2_U2_long", "--T", "1,1,1",
+                            "--grid", "1=1:inf:2")
+    assert code == EXIT_INVALID_INPUT
+    assert out == ""
+    assert err.startswith("error: --grid: ") and "Traceback" not in err
+
+
+def test_tensor_parsing_keeps_spaces_and_short_decimals(capsys):
+    code, out, _ = invoke(capsys, "check", "--builtin", "G2_U2_long", "--T", " 2 ,1.,.5")
+    assert code == EXIT_OK
+    assert json.loads(out)["T"] == [2.0, 1.0, 0.5]
+
+
+@pytest.mark.parametrize("changes, field", [
+    ({"triples": [{"i": 1, "j": 2, "k": 3, "value": math.nan}]}, "triples[(1, 2, 3)].value"),
+    ({"triples": [{"i": 1, "j": 2, "k": 3, "value": math.inf}]}, "triples[(1, 2, 3)].value"),
+    ({"triples": [{"i": 1, "j": 2, "k": 3, "value": "1e400"}]}, "triples[(1, 2, 3)].value"),
+    ({"b": [1, math.inf, 1]}, "b[2]"),
+    ({"d": [4, True, 4]}, "d[2]"),
+])
+def test_bad_numbers_in_space_file_are_exit_2(capsys, tmp_path, changes, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"name": "bad", "d": [4, 2, 4], "triples": [], **changes}))
+    code, out, err = invoke(capsys, "check", "--space", str(path), "--T", "1,1,1")
+    assert code == EXIT_INVALID_INPUT
+    assert out == ""
+    assert err.startswith(f"error: {field}: ") and "Traceback" not in err
 
 
 def test_check_missing_file(capsys, tmp_path):

@@ -12,6 +12,7 @@ from homricci.space_model import load_space_spec
 
 from oracles import (
     brute_force_hat_curvature,
+    brute_force_ricci,
     brute_force_scalar_curvature,
     central_difference_gradient,
     random_space_spec,
@@ -152,6 +153,20 @@ def test_ricci_gradient_identity(f4):
     for m in range(f4.s):
         residual = ricci.R[m] + x[m] ** 2 / f4.d[m] * grad[m]
         assert abs(residual) < 1e-12 * max(1.0, abs(ricci.R[m]))
+
+
+def test_ricci_matches_brute_force(g2):
+    rng = np.random.default_rng(13)
+    cases = [(g2, (59437.08094985587, 59436.87017110281, 3.454334559582221))]
+    for _ in range(50):
+        spec = random_space_spec(rng)
+        cases.append((spec, rng.uniform(0.1, 10.0, spec.s)))
+    for spec, x in cases:
+        ricci = ricci_coefficients(spec, x)
+        R, r = brute_force_ricci(spec, x)
+        for m in range(spec.s):
+            assert abs(ricci.R[m] - R[m]) < 1e-12 * max(1.0, abs(R[m]))
+            assert abs(ricci.r[m] - r[m]) < 1e-12 * max(1.0, abs(r[m]))
 
 
 def test_ricci_trace_identity_f4(f4):

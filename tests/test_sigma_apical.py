@@ -57,6 +57,26 @@ def test_sigma_irreducible_requires_closed(g2):
         sigma_irreducible(g2, 1, (1, 1, 1))
 
 
+def test_sigma_irreducible_matches_brute_force_random():
+    # sigma of a singleton is hatS at the one point of its slice; the
+    # tolerance is relative to the size of the terms, which may cancel
+    rng = np.random.default_rng(1212)
+    checked = self_bracket = 0
+    for _ in range(40):
+        spec = random_space_spec(rng, max_summands=10, density=0.1)
+        z = rng.uniform(0.1, 5.0, spec.s)
+        for i in range(1, spec.s + 1):
+            if any(spec.constant(i, i, k) for k in range(1, spec.s + 1) if k != i):
+                continue  # {i} is not closed
+            point = spec.d[i - 1] * z[i - 1]
+            expected = brute_force_hat_curvature(spec, (i,), (point,))
+            scale = abs(expected) + spec.d[i - 1] * spec.b[i - 1] / (2.0 * point)
+            assert abs(sigma_irreducible(spec, i, z).value - expected) <= 1e-14 * scale
+            checked += 1
+            self_bracket += spec.constant(i, i, i) != 0.0
+    assert checked >= 100 and self_bracket > 0, (checked, self_bracket)
+
+
 def test_sigma_delegates_singletons(g2):
     via_sigma = sigma(g2, (3,), (1, 1, 1))
     direct = sigma_irreducible(g2, 3, (1, 1, 1))

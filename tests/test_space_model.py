@@ -1,4 +1,5 @@
 import json
+import math
 from itertools import permutations
 
 import pytest
@@ -10,7 +11,9 @@ from homricci.space_model import (
     SubalgebraIndexSet,
     builtin_names,
     builtin_space,
+    coefficients_array,
     load_space_spec,
+    parse_number,
     space_spec_to_document,
     trace_Q_restricted,
     wallach_space,
@@ -163,18 +166,16 @@ def test_trace_restricted_empty_set_rejected(g2):
         trace_Q_restricted(g2, (1, 1, 1), set())
 
 
-def test_coefficient_wrappers(g2):
-    from homricci.curvature import scalar_curvature
-    from homricci.space_model import MetricCoefficients, TensorCoefficients
-
-    x = MetricCoefficients((1.0, 1.0, 1.0))
-    assert scalar_curvature(g2, x) == scalar_curvature(g2, (1, 1, 1))
-    z = TensorCoefficients((1.0, 2.0, 3.0))
-    assert trace_Q_restricted(g2, z, {2, 3}) == 2 * 2 + 4 * 3
-    with pytest.raises(ValueError):
-        MetricCoefficients((1.0, 0.0, 1.0))
-    with pytest.raises(ValueError):
-        TensorCoefficients((1.0, -2.0))
+def test_coefficients_array_checks(g2):
+    assert coefficients_array((1, 2.5, 3), 3, "z") == (1.0, 2.5, 3.0)
+    assert trace_Q_restricted(g2, (1.0, 2.0, 3.0), {2, 3}) == 2 * 2 + 4 * 3
+    for bad in ((1.0, 0.0, 1.0), (1.0, -2.0, 1.0), (1.0, math.inf, 1.0), (math.nan, 1.0, 1.0)):
+        with pytest.raises(ValueError, match=r"z\[\d\] must be finite and positive"):
+            coefficients_array(bad, 3, "z")
+        with pytest.raises(ValueError, match="finite and positive"):
+            trace_Q_restricted(g2, bad, {1})
+    with pytest.raises(ValueError, match="length"):
+        coefficients_array((1.0, 2.0), 3, "z")
 
 
 def test_index_set_basics():
@@ -199,3 +200,59 @@ def test_spec_validation_direct():
     with pytest.raises(SpecError, match="out of range"):
         HomogeneousSpaceSpec(name="x", d=(4,), b=(1.0,),
                              triples=StructureConstantTable((((1, 1, 2), 1.0),)))
+
+
+def test_parse_number_accepts_numbers_and_rationals():
+    assert parse_number(" 2 ", "x") == 2.0
+    assert parse_number("1.", "x") == 1.0
+    assert parse_number(".5", "x") == 0.5
+    assert parse_number("2/9", "x") == 2 / 9
+    assert parse_number(7, "x") == 7.0
+    assert parse_number(-0.25, "x") == -0.25
+
+
+@pytest.mark.parametrize("raw", [True, None, [1], "abc", "1/0", "inf", "nan", math.inf, math.nan,
+                                 "1e400", 10 ** 400, -(10 ** 400)])
+def test_parse_number_rejects_non_finite_and_non_numbers(raw):
+    with pytest.raises(SpecError, match=r"^field\[3\]: "):
+        parse_number(raw, "field[3]")
+
+
+def _spec_document(**changes):
+    document = {"name": "demo", "d": [4, 2, 4], "b": [1, 1, 1],
+                "triples": [{"i": 1, "j": 2, "k": 3, "value": 0.5}]}
+    document.update(changes)
+    return document
+
+
+def _build_directly(document):
+    return HomogeneousSpaceSpec(
+        name=document["name"], d=tuple(document["d"]), b=tuple(document["b"]),
+        triples=StructureConstantTable.from_items(
+            [((t["i"], t["j"], t["k"]), t["value"]) for t in document["triples"]]),
+    )
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"d": [4, True, 4]}, r"d\[2\]: summand dimension must be a positive integer"),
+    ({"name": 7}, "name: name must be a non-empty string"),
+    ({"b": [1, math.inf, 1]}, r"b\[2\]: inf is not a finite number"),
+    ({"b": [1, -1, 1]}, r"b\[2\]: Killing coefficient must be non-negative"),
+    ({"triples": [{"i": 1, "j": 2, "k": 3, "value": -0.5}]},
+     r"triples\[\(1, 2, 3\)\]\.value: negative structure constant"),
+    ({"triples": [{"i": 1, "j": 2, "k": 3, "value": 0.5}, {"i": 1, "j": 2, "k": 3, "value": 0.25}]},
+     r"triples\[\(1, 2, 3\)\]: duplicate multiset"),
+    ({"triples": [{"i": 1, "j": 1, "k": 4, "value": 1}]}, r"index 4 out of range 1\.\.3"),
+])
+def test_direct_and_loaded_specs_share_one_validator(changes, message):
+    document = _spec_document(**changes)
+    with pytest.raises(SpecError, match=message) as direct:
+        _build_directly(document)
+    with pytest.raises(SpecError, match=message) as loaded:
+        load_space_spec(json.dumps(document))
+    assert str(direct.value) == str(loaded.value)
+
+
+def test_structure_constants_accept_rational_strings():
+    table = StructureConstantTable.from_items({(3, 1, 2): "7/2", (1, 1, 2): " 2/3"})
+    assert table.entries == (((1, 1, 2), 2 / 3), ((1, 2, 3), 3.5))
