@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -19,8 +20,22 @@ from itertools import product
 import numpy as np
 
 from .curvature import scalar_curvature
-from .sigma_apical import NoProperSubalgebraError, SigmaContext, existence_check
-from .solver import SolverError, SolverOptions, maximize_S_on_MT, verify_prescribed_ricci
+from .sigma_apical import (
+    NoProperSubalgebraError,
+    SigmaContext,
+    existence_check,
+    existence_verdict,
+    solve_together,
+)
+from .solver import (
+    OptimizationReport,
+    SolverError,
+    SolverOptions,
+    VerificationResult,
+    maximize_S_on_MT,
+    polish_prescribed_ricci,
+    verify_prescribed_ricci,
+)
 from .space_model import (
     HomogeneousSpaceSpec,
     SpecError,
@@ -147,55 +162,90 @@ class SweepRow:
     note: str = ""
 
 
-def _sweep_point(spec: HomogeneousSpaceSpec, z: tuple[float, ...], options: SolverOptions,
-                 normalize: bool, solve: bool) -> SweepRow:
-    scaled = z
-    if normalize:
-        total = sum(spec.d[i] * z[i] for i in range(spec.s))
-        scaled = tuple(v / total for v in z)
+def _solve(spec: HomogeneousSpaceSpec, z: tuple[float, ...], options: SolverOptions
+           ) -> tuple[OptimizationReport, tuple[float, ...], VerificationResult | None, str]:
+    """The maximiser of S on the unit-trace metrics and its Ricci fit,
+    Newton-polished when the fit misses.  The last item is empty when the
+    metric returned is a verified solution, and otherwise says why there is
+    none; the metric and the fit are then not to be printed."""
+    report = maximize_S_on_MT(spec, z, options)
+    if not report.converged:
+        return report, report.argmax, None, f"solver did not converge: {report.diagnostics}"
+    verification = verify_prescribed_ricci(spec, report.argmax, z)
+    if verification.verified:
+        return report, report.argmax, verification, ""
+    x, polished = polish_prescribed_ricci(spec, report.argmax, z)
+    if polished.verified:
+        return report, x, polished, ""
+    return report, x, polished, (
+        f"solver did not converge: the Ricci fit at the maximiser has residual "
+        f"{verification.residual:.4g}, and {polished.residual:.4g} after Newton polish")
+
+
+def _scaled(spec: HomogeneousSpaceSpec, z: tuple[float, ...], normalize: bool) -> tuple[float, ...]:
+    if not normalize:
+        return z
+    total = sum(spec.d[i] * z[i] for i in range(spec.s))
+    return tuple(v / total for v in z)
+
+
+def _context(spec: HomogeneousSpaceSpec, z: tuple[float, ...], options: SolverOptions) -> SigmaContext | None:
+    """The point's context, or None for a tensor its own row rejects."""
+    try:
+        return SigmaContext(spec, z, options)
+    except ValueError:
+        return None
+
+
+def _sweep_point(spec: HomogeneousSpaceSpec, z: tuple[float, ...], ctx: SigmaContext | None,
+                 options: SolverOptions, solve: bool) -> SweepRow:
+    """One row; without a context, building it again raises the error the
+    row reports."""
     columns = ("status", "apical", "sigma", "margin") + (("c", "residual") if solve else ())
     fields = dict.fromkeys(columns, "")
     note = ""
     try:
-        verdict = existence_check(spec, scaled, options)
+        verdict = existence_verdict(ctx or SigmaContext(spec, z, options))
         fields["status"] = verdict.status.value
         if verdict.apical is not None:
             fields["apical"] = "+".join(str(i) for i in verdict.apical.sorted)
             fields["sigma"] = _fmt(verdict.sigma.value)
             fields["margin"] = _fmt(verdict.margin)
         if solve:
-            report = maximize_S_on_MT(spec, scaled, options)
-            if report.converged:
-                verification = verify_prescribed_ricci(spec, report.argmax, scaled)
+            _, _, verification, note = _solve(spec, z, options)
+            if not note:
                 fields["c"] = _fmt(verification.c)
                 fields["residual"] = _fmt(verification.residual)
-            else:
-                note = f"solver did not converge: {report.diagnostics}"
     except (SolverError, NoProperSubalgebraError, ValueError) as exc:
         fields = dict.fromkeys(columns, "")
         fields["status"] = "error"
         note = f"{exc}"
-    return SweepRow(z=scaled, fields=fields, note=note)
+    return SweepRow(z=z, fields=fields, note=note)
 
 
 def emit_sweep(spec: HomogeneousSpaceSpec, grid: SweepGrid, options: SolverOptions,
                solve: bool = False, workers: int = 1) -> tuple[str, list[str]]:
     """Render the sweep as CSV text; returns (csv, diagnostic notes).
 
-    Rows are emitted in row-major grid order and are identical for any
-    worker count: every point is evaluated independently and
-    deterministically, and the pool only changes scheduling.
+    The composite slices of every grid point are solved together in one
+    call; then each point runs its own sigma recursion, and with ``solve``
+    its own full-slice solve, on ``workers`` threads.  Rows are emitted in
+    row-major grid order and are identical for any worker count: every
+    report is the one the point would compute alone, and the pool only
+    changes scheduling.
     """
-    points = grid.points()
+    points = [_scaled(spec, z, grid.normalize) for z in grid.points()]
+    contexts = [_context(spec, z, options) for z in points]
+    solve_together([ctx for ctx in contexts if ctx is not None])
 
-    def evaluate(z: tuple[float, ...]) -> SweepRow:
-        return _sweep_point(spec, z, options, grid.normalize, solve)
+    def evaluate(n: int) -> SweepRow:
+        return _sweep_point(spec, points[n], contexts[n], options, solve)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(evaluate, points))
+            rows = list(pool.map(evaluate, range(len(points))))
     else:
-        rows = [evaluate(z) for z in points]
+        rows = [evaluate(n) for n in range(len(points))]
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -266,16 +316,15 @@ def _cmd_sigma(args) -> int:
 def _cmd_solve(args) -> int:
     spec = _load_spec(args)
     z = _parse_tensor(args.T, spec.s)
-    report = maximize_S_on_MT(spec, z, _solver_options(args))
-    if not report.converged:
-        print(f"solver did not converge: {report.diagnostics}", file=sys.stderr)
+    report, x, verification, problem = _solve(spec, z, _solver_options(args))
+    if problem:
+        print(problem, file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
-    verification = verify_prescribed_ricci(spec, report.argmax, z)
     _emit_json({
         "space": spec.name,
         "T": list(z),
-        "x": list(report.argmax),
-        "S": scalar_curvature(spec, report.argmax),
+        "x": list(x),
+        "S": scalar_curvature(spec, x),
         "c": verification.c,
         "residual": verification.residual,
         "positive": verification.positive,
@@ -359,10 +408,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parsing leaves no state in it."""
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_INVALID_INPUT
     try:

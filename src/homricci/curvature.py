@@ -181,7 +181,9 @@ def ricci_coefficients(spec: HomogeneousSpaceSpec, x) -> RicciCoefficients:
     """Ricci curvature of the diagonal metric, in the same diagonal coordinates.
 
     Ric is the gradient of S on the diagonal metrics: R_m = -(x_m^2 / d_m)
-    dS/dx_m.  The closed form of r_m = R_m / x_m,
+    dS/dx_m.  It does not change when x is scaled, so R is evaluated at
+    x / max(x), where no power of a coefficient overflows or underflows.
+    The closed form of r_m = R_m / x_m,
 
         r_m = b_m / (2 x_m) + 1/(4 d_m) sum_{j,k} [mjk] x_m / (x_j x_k)
             - 1/(2 d_m) sum_{j,k} [mjk] x_k / (x_m x_j),
@@ -189,5 +191,6 @@ def ricci_coefficients(spec: HomogeneousSpaceSpec, x) -> RicciCoefficients:
     is kept as an independent check in the test suite.
     """
     xs = np.array(coefficients_array(x, spec.s, "x"))
-    R = -(xs * xs / np.array(spec.d)) * scalar_gradient(spec, xs)
+    unit = xs / xs.max()
+    R = -(unit * unit / np.array(spec.d)) * scalar_gradient(spec, unit)
     return RicciCoefficients(R=tuple(float(v) for v in R), r=tuple(float(v) for v in R / xs))

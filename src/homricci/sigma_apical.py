@@ -42,6 +42,7 @@ from .subalgebras import (
     intermediate_subalgebras,
     is_bracket_closed,
     maximal_within,
+    nonzero_slots,
 )
 
 __all__ = [
@@ -50,10 +51,12 @@ __all__ = [
     "VerdictStatus",
     "ExistenceVerdict",
     "SigmaContext",
+    "solve_together",
     "sigma_irreducible",
     "sigma",
     "find_T_apical",
     "existence_check",
+    "existence_verdict",
     "wallach_existence_check",
     "NoProperSubalgebraError",
     "STRICTNESS_TOLERANCE",
@@ -172,7 +175,8 @@ class SigmaContext:
     The first time a composite J is needed, every composite subalgebra
     inside J that is not yet known is solved in one
     :func:`maximize_hatS_on_slices` call, so slices of equal dimension
-    advance together; :meth:`sigmas` does the same for several sets at once.
+    advance together; :meth:`sigmas` does the same for several sets at once,
+    and :func:`solve_together` for the existence tests of several contexts.
     Not safe to share across threads; each worker should hold its own.
     """
 
@@ -203,9 +207,9 @@ class SigmaContext:
         self._solve_within(Jsets)
         return [self.sigma(J) for J in Jsets]
 
-    def _solve_within(self, Jsets: Sequence[SubalgebraIndexSet]) -> None:
-        """Solve the slice of every composite subalgebra inside one of
-        ``Jsets`` whose sigma and report are not known yet."""
+    def _pending(self, Jsets: Sequence[SubalgebraIndexSet]) -> dict[frozenset[int], SubalgebraIndexSet]:
+        """Every composite subalgebra inside one of ``Jsets`` whose sigma and
+        report are not known yet."""
         pending: dict[frozenset[int], SubalgebraIndexSet] = {}
         # the lattice holds every closed set but the full one
         candidates = intermediate_subalgebras(self.spec).all_proper + tuple(
@@ -215,8 +219,15 @@ class SigmaContext:
                 if (len(K) > 1 and K.indices <= Jset.indices and K.indices not in self._memo
                         and K.indices not in self._reports):
                     pending.setdefault(K.indices, K)
+        return pending
+
+    def _solve_within(self, Jsets: Sequence[SubalgebraIndexSet]) -> None:
+        """Solve the slice of every composite subalgebra inside one of
+        ``Jsets`` whose sigma and report are not known yet."""
+        pending = self._pending(Jsets)
         if pending:
-            reports = maximize_hatS_on_slices(self.spec, pending.values(), self.z, self.options)
+            reports = maximize_hatS_on_slices(self.spec, pending.values(), [self.z] * len(pending),
+                                              self.options)
             self._reports.update(zip(pending, reports))
 
     def _sigma_composite(self, Jset: SubalgebraIndexSet) -> SigmaResult:
@@ -256,6 +267,37 @@ class SigmaContext:
             witness=None,
             source=SigmaSource.BOUNDARY_RECURSION,
         )
+
+
+def solve_together(contexts: Sequence[SigmaContext]) -> None:
+    """Solve, in one :func:`maximize_hatS_on_slices` call, every composite
+    slice that the existence test of each context needs and that the context
+    does not know yet.
+
+    The contexts share one spec and one set of solver options, and each
+    report is the one its context would compute alone.  If the call fails,
+    every context is left as it was: each then solves its own slices when
+    asked, so the failure stays with the tensor that caused it.
+    """
+    if not contexts:
+        return
+    spec, options = contexts[0].spec, contexts[0].options
+    if any(ctx.spec != spec or ctx.options != options for ctx in contexts):
+        raise ValueError("contexts solved together must share the spec and the solver options")
+    if not len(nonzero_slots(spec)):
+        return  # the verdict is degenerate and solves nothing
+    maximal = intermediate_subalgebras(spec).maximal
+    pending = [ctx._pending(maximal) for ctx in contexts]
+    Js = [K for needed in pending for K in needed.values()]
+    zs = [ctx.z for ctx, needed in zip(contexts, pending) for _ in needed]
+    try:
+        reports = maximize_hatS_on_slices(spec, Js, zs, options)
+    except (SolverError, ValueError):
+        return
+    first = 0
+    for ctx, needed in zip(contexts, pending):
+        ctx._reports.update(zip(needed, reports[first: first + len(needed)]))
+        first += len(needed)
 
 
 def sigma(spec: HomogeneousSpaceSpec, J, z, options: SolverOptions | None = None) -> SigmaResult:
@@ -350,13 +392,18 @@ def existence_check(spec: HomogeneousSpaceSpec, z, options: SolverOptions | None
     is evaluated; margins inside the strictness band are reported as
     boundary because the criterion says nothing about equality.
     """
-    zs = coefficients_array(z, spec.s, "z")
-    if not spec.triples.nonzero_multisets():
+    return existence_verdict(SigmaContext(spec, z, options))
+
+
+def existence_verdict(ctx: SigmaContext) -> ExistenceVerdict:
+    """:func:`existence_check` for the spec and tensor of ``ctx``, reusing
+    every slice the context has already solved."""
+    spec = ctx.spec
+    if not len(nonzero_slots(spec)):
         return _degenerate_verdict()
-    ctx = SigmaContext(spec, zs, options)
     primary, candidates = _apical_search(ctx)
     complement = primary.J.complement(spec.s)
-    lhs = primary.value * trace_Q_restricted(spec, zs, complement)
+    lhs = primary.value * trace_Q_restricted(spec, ctx.z, complement)
     rhs = _complement_constant(spec, complement)
     margin = rhs - lhs
     return ExistenceVerdict(

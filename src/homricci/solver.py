@@ -8,11 +8,12 @@ log-coefficients in [-3, 3], so the whole procedure is deterministic for a
 fixed seed.
 
 All restarts of all slices of one dimension k advance together as the
-rows of one (n R, k) array, R rows per slice.  Each iteration takes a
-modified-Newton ascent step from the first iteration on: the Lagrangian
-Hessian is reduced to the tangent space of the constraint, its eigenvalues
-are mirrored to negative values with a floor relative to the largest, the
-step is capped in length, and every row backtracks on its own Armijo test.
+rows of one (n R, k) array, R rows per slice, and each slice may be taken
+for its own tensor.  Each iteration takes a modified-Newton ascent step
+from the first iteration on: the Lagrangian Hessian is reduced to the
+tangent space of the constraint, its eigenvalues are mirrored to negative
+values with a floor relative to the largest, the step is capped in length,
+and every row backtracks on its own Armijo test.
 A row that finishes stays frozen in the array, so its arithmetic never
 depends on when the others finished.  A slice's report does not depend on
 its group either: each slice keeps its own terms, padded at the end with
@@ -58,6 +59,7 @@ __all__ = [
     "maximize_hatS_on_slices",
     "maximize_S_on_MT",
     "verify_prescribed_ricci",
+    "polish_prescribed_ricci",
     "escape_curve_S",
 ]
 
@@ -71,6 +73,7 @@ EIGEN_FLOOR = 1e-13            # |eigenvalue| floor, relative to the largest of 
 ARMIJO = 1e-4                  # sufficient-increase constant of the line search
 VALUE_TIE = 1e-9               # near-optimal stationary points kept within this
 MAX_BATCH_ENTRIES = 1 << 20    # rows x terms x k of one batch, bounding its work arrays
+POLISH_STEPS = 3               # Newton steps on Ric = c T after a fit that misses
 _TINY = np.finfo(float).tiny
 
 # one prime per slice coordinate, up to MAX_EXHAUSTIVE_SUMMANDS
@@ -193,14 +196,14 @@ class _SliceProblem:
 
     Every method takes an (n * R, k) array with one point per row, slice by
     slice: rows j * R to (j + 1) * R - 1 belong to slice j.  Each slice keeps
-    its own terms, its coefficients padded with zeros to the longest term
-    list, so a padded term weighs exactly zero.  The constraint of a row is
-    h(w) = sum cz e^-w = 1, with gradient -cz e^-w and Hessian diag(cz e^-w);
-    ``normal`` below is cz e^-w.
+    its own tensor zs[j] and its own terms, its coefficients padded with
+    zeros to the longest term list, so a padded term weighs exactly zero.
+    The constraint of a row is h(w) = sum cz e^-w = 1, with gradient
+    -cz e^-w and Hessian diag(cz e^-w); ``normal`` below is cz e^-w.
     """
 
     def __init__(self, spec: HomogeneousSpaceSpec, systems: list[TermSystem],
-                 z: tuple[float, ...], restarts: int):
+                 zs: list[tuple[float, ...]], restarts: int):
         self.k = systems[0].dimension
         m = max(len(system.coefficients) for system in systems)
         self.coefficients = np.zeros((len(systems), 1, m))
@@ -209,8 +212,8 @@ class _SliceProblem:
             self.coefficients[j, 0, : len(system.coefficients)] = system.coefficients
             self.exponents[j, : len(system.coefficients)] = system.exponents
         self._exponents_T = self.exponents.transpose(0, 2, 1)
-        self.cz = np.repeat([[spec.d[i - 1] * z[i - 1] for i in system.indices] for system in systems],
-                            restarts, axis=0)
+        self.cz = np.repeat([[spec.d[i - 1] * z[i - 1] for i in system.indices]
+                             for system, z in zip(systems, zs)], restarts, axis=0)
         self.log_cz = np.log(self.cz)
         self._tangent_axes = np.eye(self.k)[:, : self.k - 1]
 
@@ -406,11 +409,14 @@ def _distinct(points: list[tuple[float, ...]], candidate: tuple[float, ...]) -> 
     return True
 
 
-def _maximize(spec: HomogeneousSpaceSpec, slices: list[tuple[int, ...]], z,
+def _maximize(spec: HomogeneousSpaceSpec, slices: list[tuple[int, ...]], zs: list[tuple[float, ...]],
               options: SolverOptions) -> list[OptimizationReport]:
-    """Maximize hatS on every slice; slices of equal dimension advance
-    together, as many to a batch as MAX_BATCH_ENTRIES allows."""
-    zs = coefficients_array(z, spec.s, "z")
+    """Maximize hatS on every slice, slice j on the unit-trace slice of the
+    checked tensor zs[j].
+
+    Slices of equal dimension advance together, as many to a batch as
+    MAX_BATCH_ENTRIES allows.
+    """
     groups: dict[int, list[int]] = {}
     for position, indices in enumerate(slices):
         check_summand_count(len(indices))
@@ -427,7 +433,8 @@ def _maximize(spec: HomogeneousSpaceSpec, slices: list[tuple[int, ...]], z,
         ]) - 1.0)
         for first in range(0, len(positions), per_batch):
             batch = positions[first: first + per_batch]
-            problem = _SliceProblem(spec, systems[first: first + per_batch], zs, R)
+            problem = _SliceProblem(spec, systems[first: first + per_batch],
+                                    [zs[p] for p in batch], R)
             results = _run_restarts(problem, np.tile(starts, (len(batch), 1)), options.max_iterations)
             for j, p in enumerate(batch):
                 reports[p] = _report(results[j * R: (j + 1) * R], options)
@@ -488,18 +495,22 @@ def _report(results: list[_RestartResult], options: SolverOptions) -> Optimizati
     )
 
 
-def maximize_hatS_on_slices(spec: HomogeneousSpaceSpec, Js, z,
+def maximize_hatS_on_slices(spec: HomogeneousSpaceSpec, Js, zs,
                             options: SolverOptions | None = None) -> tuple[OptimizationReport, ...]:
-    """Maximize hatS over the unit-trace slice of each subalgebra in Js.
+    """Maximize hatS over the unit-trace slice of each subalgebra in Js, the
+    slice of Js[j] being taken for the tensor zs[j].
 
     Slices of equal dimension are solved together, and each report is the
-    one :func:`maximize_hatS_on_slice` gives for that slice alone.  Every J
-    needs at least two summands.
+    one :func:`maximize_hatS_on_slice` gives for that slice and tensor
+    alone.  Every J needs at least two summands.
     """
     slices = [resolve_indices(spec, J) for J in Js]
+    tensors = [coefficients_array(z, spec.s, "z") for z in zs]
+    if len(tensors) != len(slices):
+        raise ValueError(f"expected one z per slice, got {len(tensors)} for {len(slices)} slices")
     if any(len(indices) < 2 for indices in slices):
         raise ValueError("slice maximization needs at least two summands in J")
-    return tuple(_maximize(spec, slices, z, options or SolverOptions()))
+    return tuple(_maximize(spec, slices, tensors, options or SolverOptions()))
 
 
 def maximize_hatS_on_slice(spec: HomogeneousSpaceSpec, J, z,
@@ -509,7 +520,7 @@ def maximize_hatS_on_slice(spec: HomogeneousSpaceSpec, J, z,
     Requires at least two summands in J; a single summand makes the slice one
     exactly determined point and needs no search.
     """
-    return maximize_hatS_on_slices(spec, (J,), z, options)[0]
+    return maximize_hatS_on_slices(spec, (J,), (z,), options)[0]
 
 
 def maximize_S_on_MT(spec: HomogeneousSpaceSpec, z,
@@ -526,7 +537,7 @@ def maximize_S_on_MT(spec: HomogeneousSpaceSpec, z,
             converged=True,
             first_order_residual=0.0,
         )
-    return _maximize(spec, [tuple(spec.summand_indices())], zs, options or SolverOptions())[0]
+    return _maximize(spec, [tuple(spec.summand_indices())], [zs], options or SolverOptions())[0]
 
 
 def verify_prescribed_ricci(spec: HomogeneousSpaceSpec, x, z) -> VerificationResult:
@@ -534,18 +545,65 @@ def verify_prescribed_ricci(spec: HomogeneousSpaceSpec, x, z) -> VerificationRes
 
     c minimises sum_i d_i (R_i - c z_i)^2 / x_i^2, which weighs components by
     the natural inner product and keeps the estimate insensitive to rounding
-    in any single coordinate.
+    in any single coordinate.  Neither Ric nor the residual changes when x
+    or z is scaled, so the fit is made at unit maximum of both, where no
+    square overflows, and c is scaled back at the end.
     """
-    xs = coefficients_array(x, spec.s, "x")
-    zs = coefficients_array(z, spec.s, "z")
-    ricci = ricci_coefficients(spec, xs)
-    numerator = sum(spec.d[i] * ricci.R[i] * zs[i] / (xs[i] * xs[i]) for i in range(spec.s))
-    denominator = sum(spec.d[i] * zs[i] * zs[i] / (xs[i] * xs[i]) for i in range(spec.s))
+    xs = np.array(coefficients_array(x, spec.s, "x"))
+    zs = np.array(coefficients_array(z, spec.s, "z"))
+    scale = zs.max()
+    ux, uz = (xs / xs.max()).tolist(), (zs / scale).tolist()
+    R = ricci_coefficients(spec, ux).R
+    numerator = sum(spec.d[i] * R[i] * uz[i] / (ux[i] * ux[i]) for i in range(spec.s))
+    denominator = sum(spec.d[i] * uz[i] * uz[i] / (ux[i] * ux[i]) for i in range(spec.s))
     c = numerator / denominator
-    residual = max(
-        abs(ricci.R[i] - c * zs[i]) / max(1.0, abs(c * zs[i])) for i in range(spec.s)
-    )
-    return VerificationResult(c=float(c), residual=float(residual), positive=c > 0)
+    residual = max(abs(R[i] - c * uz[i]) / max(1.0, abs(c * uz[i])) for i in range(spec.s))
+    return VerificationResult(c=float(c / scale), residual=float(residual), positive=c > 0)
+
+
+def polish_prescribed_ricci(spec: HomogeneousSpaceSpec, x, z) -> tuple[tuple[float, ...], VerificationResult]:
+    """Up to POLISH_STEPS Newton steps on Ric(x) = c T from x, holding the
+    tensor trace sum d_i z_i / x_i fixed; returns whichever of x and the
+    steps fits best, with its fit.
+
+    In log-coordinates w, R_m = -(x_m / d_m) g_m with g the gradient of S,
+    so dR_m/dw_n = -(x_m / d_m)(delta_mn g_m + H_mn) with H the Hessian of
+    S; both come from the full term system.  Ric does not change when x is
+    scaled, so this Jacobian is singular along (1, ..., 1); the trace
+    condition removes that direction, and c is the extra unknown.  The steps
+    run at unit maximum of x and z, like :func:`verify_prescribed_ricci`.
+    A step that leaves the positive finite coefficients ends the polish.
+    """
+    xs = np.array(coefficients_array(x, spec.s, "x"))
+    zs = np.array(coefficients_array(z, spec.s, "z"))
+    best_x, best = tuple(xs.tolist()), verify_prescribed_ricci(spec, xs, zs)
+    system = slice_term_system(spec)
+    s, d = spec.s, np.array(spec.d, dtype=float)
+    w, uz = np.log(xs / xs.max()), zs / zs.max()
+    trace = (d * uz) @ np.exp(-w)
+    c = best.c * zs.max()
+    jacobian = np.zeros((s + 1, s + 1))
+    jacobian[:s, s] = -uz
+    # a diverging step may overflow; the checks below reject what it gives
+    with np.errstate(all="ignore"):
+        for _ in range(POLISH_STEPS):
+            ux = np.exp(w)
+            g = system.gradient_log(w)
+            jacobian[:s, :s] = -(ux / d)[:, None] * (np.diag(g) + system.hessian_log(w))
+            jacobian[s, :s] = -d * uz / ux
+            rhs = -np.append(-(ux / d) * g - c * uz, (d * uz) @ (1.0 / ux) - trace)
+            try:
+                step = np.linalg.solve(jacobian, rhs)
+            except np.linalg.LinAlgError:
+                break
+            w, c = w + step[:s], c + step[s]
+            candidate = np.exp(w) * xs.max()
+            if not (np.isfinite(candidate).all() and (candidate > 0).all()):
+                break
+            fit = verify_prescribed_ricci(spec, candidate, zs)
+            if fit.residual < best.residual:
+                best_x, best = tuple(candidate.tolist()), fit
+    return best_x, best
 
 
 def escape_curve_S(spec: HomogeneousSpaceSpec, J, y, z, t: float) -> float:

@@ -21,6 +21,7 @@ from .space_model import HomogeneousSpaceSpec, SubalgebraIndexSet, memoize_per_s
 __all__ = [
     "SubalgebraLattice",
     "is_bracket_closed",
+    "nonzero_slots",
     "intermediate_subalgebras",
     "maximal_within",
     "check_summand_count",
@@ -45,18 +46,25 @@ def _as_index_set(J) -> SubalgebraIndexSet:
     return SubalgebraIndexSet.from_iterable(J)
 
 
+@memoize_per_spec
+def nonzero_slots(spec: HomogeneousSpaceSpec) -> np.ndarray:
+    """Zero-based slots of every nonzero multiset, one (i, j, k) row each,
+    shape (n, 3), computed once per spec and shared, hence read-only."""
+    slots = np.array([[x - 1 for x in multiset] for multiset, _ in spec.triples.nonzero_multisets()],
+                     dtype=np.intp).reshape(-1, 3)
+    slots.flags.writeable = False
+    return slots
+
+
 def is_bracket_closed(spec: HomogeneousSpaceSpec, J) -> bool:
     """True when the summands named by J span a subalgebra.
 
     A nonzero constant on a multiset with exactly two slots inside J
     witnesses a bracket of two members landing outside, so J fails.
     """
-    Jset = set(resolve_indices(spec, J))
-    for multiset, value in spec.triples.nonzero_multisets():
-        inside = sum(1 for idx in multiset if idx in Jset)
-        if inside == 2:
-            return False
-    return True
+    member = np.zeros(spec.s, dtype=np.int8)
+    member[[i - 1 for i in resolve_indices(spec, J)]] = 1
+    return not (member[nonzero_slots(spec)].sum(axis=1) == 2).any()
 
 
 @dataclass(frozen=True)
@@ -104,19 +112,21 @@ def _closed_masks(spec: HomogeneousSpaceSpec) -> list[int]:
     filtering into ever smaller arrays was faster but fragmented the heap,
     raising peak memory by about 1 MB over 60 scans at s = 16.
     """
+    slots = nonzero_slots(spec)
+    bits = np.left_shift(1, slots)
+    unions = np.bitwise_or.reduce(bits, axis=1)
+    drops = []
+    for c in range(3):
+        once = (slots[:, c] != slots[:, c - 1]) & (slots[:, c] != slots[:, c - 2])
+        drops += zip(unions[once].tolist(), (unions[once] ^ bits[once, c]).tolist())
     masks = np.arange(1, (1 << spec.s) - 1, dtype=np.uint16)
     keep = np.ones(masks.shape, dtype=bool)
     inside = np.empty_like(masks)
     differs = np.empty_like(keep)
-    for multiset, _ in spec.triples.nonzero_multisets():
-        union = 0
-        for x in multiset:
-            union |= 1 << (x - 1)
+    for union, pattern in drops:
         np.bitwise_and(masks, union, out=inside)
-        for x in set(multiset):
-            if multiset.count(x) == 1:
-                np.not_equal(inside, union ^ (1 << (x - 1)), out=differs)
-                keep &= differs
+        np.not_equal(inside, pattern, out=differs)
+        keep &= differs
     return masks[keep].tolist()
 
 

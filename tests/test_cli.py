@@ -221,6 +221,29 @@ def test_solve_nonconvergence_is_exit_3(capsys, tmp_path):
     assert err.startswith("solver did not converge: 16/16 restarts escaped toward the slice boundary")
 
 
+def test_solve_polishes_a_fit_that_misses(capsys):
+    # the maximiser's Ricci residual is 1.19e-8; Newton steps take it to ~1e-12
+    code, out, _ = invoke(capsys, "solve", "--builtin", "G2_U2_long", "--T", "0.9770,0.9243,0.8635")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["verified"] and payload["residual"] < 1e-11
+    assert payload["c"] == pytest.approx(payload["S"], rel=1e-10)
+
+
+@pytest.mark.parametrize("tensor, residuals", [
+    # x = (3.0e7, 3.0e7, 3.64) lies on a flat escape ray, where the polish diverges
+    ("0.9951,1.0398,0.909", "residual 9.961e-06, and 9.961e-06 after"),
+    # overflowed to NaN, with numpy warnings, before the fit ran at unit scale
+    ("1e300,1,1", "after Newton polish"),
+])
+def test_solve_without_verified_fit_is_exit_3(capsys, tensor, residuals):
+    code, out, err = invoke(capsys, "solve", "--builtin", "G2_U2_long", "--T", tensor)
+    assert code == EXIT_NUMERICAL_FAILURE
+    assert out == ""
+    assert err.startswith("solver did not converge: the Ricci fit at the maximiser has ")
+    assert residuals in err
+
+
 def test_solve_more_than_16_summands_is_exit_2(capsys, tmp_path):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"name": "big", "d": [2] * 17,
@@ -349,6 +372,15 @@ def test_sweep_solve_columns(capsys):
     assert float(guaranteed[7]) > 0
 
 
+def test_sweep_solve_notes_an_unverified_fit(capsys):
+    code, out, err = invoke(capsys, "sweep", "--builtin", "G2_U2_long", "--T", "0.9951,1.0398,0.909",
+                            "--grid", "1=0.9951:0.9951:1", "--solve")
+    assert code == EXIT_OK
+    row = out.splitlines()[1].split(",")
+    assert row[3] == "boundary" and row[7:] == ["", ""]
+    assert ": solver did not converge: the Ricci fit at the maximiser has residual 9.961e-06" in err
+
+
 def test_sweep_error_rows_do_not_abort(capsys, tmp_path):
     path = tmp_path / "locked.json"
     path.write_text(json.dumps({
@@ -385,6 +417,51 @@ def test_sweep_solve_errors_become_error_rows(capsys, monkeypatch):
     assert "injected failure" in err
 
 
+def test_sweep_failed_slice_gives_one_error_row(capsys, monkeypatch):
+    import homricci.sigma_apical as sigma_apical
+    from homricci.solver import SolverError
+
+    args = ("sweep", "--builtin", "F4_SU3xSU2xU1", "--T", "1,1,1,1", "--grid", "1=1:3:3")
+    _, healthy, _ = invoke(capsys, *args)
+    real = sigma_apical.maximize_hatS_on_slices
+
+    def failing(spec, Js, zs, options=None):
+        if any(z[0] == 2.0 for z in zs):
+            raise SolverError("injected failure")
+        return real(spec, Js, zs, options)
+
+    monkeypatch.setattr(sigma_apical, "maximize_hatS_on_slices", failing)
+    code, out, err = invoke(capsys, *args)
+    assert code == EXIT_OK
+    lines, expected = out.splitlines(), healthy.splitlines()
+    assert [lines[0], lines[1], lines[3]] == [expected[0], expected[1], expected[3]]
+    assert lines[2] == "2,1,1,1,error,,,"
+    assert err == "z=2,1,1,1: injected failure\n"
+
+
+def test_sweep_rows_match_single_checks(capsys, tmp_path):
+    # a sweep solves the slices of all its points in one call; every row must
+    # still carry, bit for bit, the verdict of a check at that point alone
+    path = tmp_path / "sparse8.json"
+    path.write_text(json.dumps({
+        "name": "sparse8", "d": [2, 11, 3, 4, 4, 9, 12, 1],
+        "triples": [{"i": 1, "j": 3, "k": 4, "value": "3/1"}, {"i": 2, "j": 2, "k": 4, "value": "4/3"},
+                    {"i": 5, "j": 6, "k": 8, "value": "7/3"}, {"i": 7, "j": 7, "k": 8, "value": "6/4"}],
+    }))
+    code, out, _ = invoke(capsys, "sweep", "--space", str(path), "--T", "1,1,1,1,1,1,1,1",
+                          "--grid", "7=0.1:5:4", "--normalize")
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    pivots = set()
+    for row in rows:
+        _, check_out, _ = invoke(capsys, "check", "--space", str(path), "--T", ",".join(row[:8]))
+        verdict = json.loads(check_out)
+        pivots.add(row[9])
+        assert row[8:] == [verdict["status"], "+".join(map(str, verdict["apical"])),
+                           "%.17g" % verdict["sigma"]["value"], "%.17g" % verdict["margin"]]
+    assert len(pivots) > 1
+
+
 def test_sweep_normalize_preserves_status(capsys):
     base = ("sweep", "--builtin", "G2_U2_long", "--T", "1,1,1", "--grid", "1=0.5:2:4")
     _, plain, _ = invoke(capsys, *base)
@@ -403,3 +480,31 @@ def test_sweep_json_format(capsys):
     rows = json.loads(out)["rows"]
     assert len(rows) == 2
     assert rows[0]["status"] == "guaranteed"
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+
+def test_reused_parser_answers_like_fresh_ones(capsys, monkeypatch):
+    import homricci.cli as cli
+
+    requests = [
+        ("sweep", "--builtin", "G2_U2_long", "--T", "1,1,1", "--grid", "1=1:2:2", "--grid", "2=1:2:2"),
+        ("check", "--builtin", "E6_Sp3xSp1", "--T", "1,1,1"),
+        ("check", "--builtin", "G2_U2_long", "--T", "1,1"),
+        ("sweep", "--builtin", "G2_U2_long", "--T", "1,1,1", "--grid", "1=1:2:2"),
+        ("sigma", "--builtin", "F4_SU3xSU2xU1", "--T", "1,1,1,1", "--format", "csv"),
+        ("check", "--builtin", "G2_U2_long"),
+        ("--help",),
+        ("sweep", "--help"),
+        ("check", "--builtin", "G2_U2_long", "--T", "1,1,1", "--seed", "3"),
+        ("nonsense",),
+        ("sigma", "--builtin", "G2_U2_long", "--T", "1,1,1"),
+    ]
+    shared = [invoke(capsys, *argv) for argv in requests]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [invoke(capsys, *argv) for argv in requests]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 2, 0, 0, 0, 2, 0]

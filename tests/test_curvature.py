@@ -169,6 +169,15 @@ def test_ricci_matches_brute_force(g2):
             assert abs(ricci.r[m] - r[m]) < 1e-12 * max(1.0, abs(r[m]))
 
 
+def test_ricci_is_scale_invariant_at_extreme_scales(f4):
+    x = np.array([1.4, 0.6, 2.2, 0.9])
+    base = ricci_coefficients(f4, x)
+    for scale in (1e-300, 1e300):
+        ricci = ricci_coefficients(f4, scale * x)
+        assert ricci.R == pytest.approx(base.R, rel=1e-12)
+        assert ricci.r == pytest.approx(np.array(base.r) / scale, rel=1e-12)
+
+
 def test_ricci_trace_identity_f4(f4):
     x = (1, 1, 1, 1)
     ricci = ricci_coefficients(f4, x)

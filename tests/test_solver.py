@@ -10,6 +10,7 @@ from homricci.solver import (
     maximize_S_on_MT,
     maximize_hatS_on_slice,
     maximize_hatS_on_slices,
+    polish_prescribed_ricci,
     project_slice_coefficients,
     verify_prescribed_ricci,
 )
@@ -169,6 +170,31 @@ def test_verify_rejects_flat_metric(g2):
     assert result.residual == pytest.approx(1 / 12, rel=1e-10)
 
 
+def test_polish_keeps_the_trace_and_lowers_the_residual(g2):
+    z = (0.9770, 0.9243, 0.8635)
+    x = maximize_S_on_MT(g2, z).argmax
+    assert not verify_prescribed_ricci(g2, x, z).verified
+    polished, fit = polish_prescribed_ricci(g2, x, z)
+    assert fit == verify_prescribed_ricci(g2, polished, z)
+    assert fit.residual < 1e-11 and fit.positive
+    assert metric_trace_of_T(g2, None, polished, z) == pytest.approx(1.0, rel=1e-12)
+    # on the flat escape ray no step helps, and the start is returned as it was
+    z = (0.9951, 1.0398, 0.909)
+    x = maximize_S_on_MT(g2, z).argmax
+    assert polish_prescribed_ricci(g2, x, z) == (x, verify_prescribed_ricci(g2, x, z))
+
+
+def test_verify_is_scale_invariant(g2):
+    x, z = (1.3, 0.7, 2.1), (0.9, 1.2, 1.1)
+    base = verify_prescribed_ricci(g2, x, z)
+    for scale in (1e-300, 1e300):
+        for scaled_x, scaled_z, c in (([scale * v for v in x], z, base.c),
+                                      (x, [scale * v for v in z], base.c / scale)):
+            fit = verify_prescribed_ricci(g2, scaled_x, scaled_z)
+            assert fit.residual == pytest.approx(base.residual, rel=1e-12)
+            assert fit.c == pytest.approx(c, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # escape curve
 # ---------------------------------------------------------------------------
@@ -278,14 +304,15 @@ def test_budget_exhausted_restart_is_never_converged(f4):
 
 
 def test_grouped_slices_match_slices_alone():
-    # every composite closed set of each draw, all at once and one at a time
+    # every composite closed set of each draw, all at once and one at a time,
+    # first for one tensor and then for one tensor per slice
     solved = 0
     for draw in range(30):
         rng = np.random.default_rng(9300 + draw)
         spec = random_space_spec(rng, max_summands=8, density=(0.05, 0.15, 0.35)[draw % 3])
         z = tuple(float(v) for v in rng.uniform(0.5, 2.0, spec.s))
         slices = sorted((sorted(J) for J in all_closed_subsets(spec) if len(J) > 1), key=lambda J: (len(J), J))
-        grouped = maximize_hatS_on_slices(spec, slices, z)
+        grouped = maximize_hatS_on_slices(spec, slices, [z] * len(slices))
         assert len(grouped) == len(slices)
         for J, together in zip(slices, grouped):
             alone = maximize_hatS_on_slice(spec, J, z)
@@ -297,7 +324,18 @@ def test_grouped_slices_match_slices_alone():
             assert together.value == pytest.approx(alone.value, rel=1e-12, abs=1e-12), where
             assert together.argmax == pytest.approx(alone.argmax, rel=1e-9), where
             solved += 1
+        zs = [tuple(float(v) for v in rng.uniform(0.5, 2.0, spec.s)) for _ in slices]
+        grouped = maximize_hatS_on_slices(spec, slices, zs)
+        for J, own, together in zip(slices, zs, grouped):
+            assert together == maximize_hatS_on_slice(spec, J, own), f"draw {draw}, J = {J}, z = {own}"
     assert solved >= 100
+
+
+def test_slices_need_one_tensor_each(f4):
+    with pytest.raises(ValueError, match="one z per slice, got 1 for 2 slices"):
+        maximize_hatS_on_slices(f4, [(2, 4), (1, 2, 3, 4)], [(1, 1, 1, 1)])
+    with pytest.raises(ValueError, match=r"z\[2\] must be finite and positive"):
+        maximize_hatS_on_slices(f4, [(2, 4), (2, 4)], [(1, 1, 1, 1), (1, -1, 1, 1)])
 
 
 def test_batches_split_a_group_without_changing_reports(monkeypatch):
@@ -309,9 +347,9 @@ def test_batches_split_a_group_without_changing_reports(monkeypatch):
         spec = random_space_spec(rng, max_summands=8, density=(0.05, 0.15, 0.35)[draw % 3])
         z = tuple(float(v) for v in rng.uniform(0.5, 2.0, spec.s))
         slices = sorted((sorted(J) for J in all_closed_subsets(spec) if len(J) > 1), key=lambda J: (len(J), J))
-        whole = maximize_hatS_on_slices(spec, slices, z)
+        whole = maximize_hatS_on_slices(spec, slices, [z] * len(slices))
         monkeypatch.setattr(solver, "MAX_BATCH_ENTRIES", 1000)
-        split = maximize_hatS_on_slices(spec, slices, z)
+        split = maximize_hatS_on_slices(spec, slices, [z] * len(slices))
         monkeypatch.undo()
         for J, a, b in zip(slices, whole, split):
             assert a.outcomes == b.outcomes and a.iterations == b.iterations, f"draw {draw}, J = {J}"
