@@ -155,13 +155,6 @@ def build_sweep_grid(axis_texts: list[str], base: tuple[float, ...], s: int,
     return SweepGrid(axes=tuple(axes), base=base, normalize=normalize)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    z: tuple[float, ...]
-    fields: dict
-    note: str = ""
-
-
 def _solve(spec: HomogeneousSpaceSpec, z: tuple[float, ...], options: SolverOptions
            ) -> tuple[OptimizationReport, tuple[float, ...], VerificationResult | None, str]:
     """The maximiser of S on the unit-trace metrics and its Ricci fit,
@@ -198,47 +191,43 @@ def _context(spec: HomogeneousSpaceSpec, z: tuple[float, ...], options: SolverOp
 
 
 def _sweep_point(spec: HomogeneousSpaceSpec, z: tuple[float, ...], ctx: SigmaContext | None,
-                 options: SolverOptions, solve: bool) -> SweepRow:
-    """One row; without a context, building it again raises the error the
-    row reports."""
-    columns = ("status", "apical", "sigma", "margin") + (("c", "residual") if solve else ())
-    fields = dict.fromkeys(columns, "")
+                 options: SolverOptions, solve: bool) -> tuple[list[str], str]:
+    """One CSV record and its note; without a context, building it again
+    raises the error the row reports."""
+    cells = ["", "", "", ""] + (["", ""] if solve else [])
     note = ""
     try:
         verdict = existence_verdict(ctx or SigmaContext(spec, z, options))
-        fields["status"] = verdict.status.value
+        cells[0] = verdict.status.value
         if verdict.apical is not None:
-            fields["apical"] = "+".join(str(i) for i in verdict.apical.sorted)
-            fields["sigma"] = _fmt(verdict.sigma.value)
-            fields["margin"] = _fmt(verdict.margin)
+            cells[1:4] = ["+".join(str(i) for i in verdict.apical.sorted), _fmt(verdict.sigma.value),
+                          _fmt(verdict.margin)]
         if solve:
             _, _, verification, note = _solve(spec, z, options)
             if not note:
-                fields["c"] = _fmt(verification.c)
-                fields["residual"] = _fmt(verification.residual)
+                cells[4:] = [_fmt(verification.c), _fmt(verification.residual)]
     except (SolverError, NoProperSubalgebraError, ValueError) as exc:
-        fields = dict.fromkeys(columns, "")
-        fields["status"] = "error"
+        cells = ["error"] + [""] * (len(cells) - 1)
         note = f"{exc}"
-    return SweepRow(z=z, fields=fields, note=note)
+    return [_fmt(v) for v in z] + cells, note
 
 
 def emit_sweep(spec: HomogeneousSpaceSpec, grid: SweepGrid, options: SolverOptions,
                solve: bool = False, workers: int = 1) -> tuple[str, list[str]]:
     """Render the sweep as CSV text; returns (csv, diagnostic notes).
 
-    The composite slices of every grid point are solved together in one
-    call; then each point runs its own sigma recursion, and with ``solve``
-    its own full-slice solve, on ``workers`` threads.  Rows are emitted in
+    The sigma tables of every grid point are filled together with one slice
+    solve; then each point reads its verdict, and with ``solve`` runs its
+    own full-slice solve, on ``workers`` threads.  Rows are emitted in
     row-major grid order and are identical for any worker count: every
-    report is the one the point would compute alone, and the pool only
+    sigma is the one the point would compute alone, and the pool only
     changes scheduling.
     """
     points = [_scaled(spec, z, grid.normalize) for z in grid.points()]
     contexts = [_context(spec, z, options) for z in points]
     solve_together([ctx for ctx in contexts if ctx is not None])
 
-    def evaluate(n: int) -> SweepRow:
+    def evaluate(n: int) -> tuple[list[str], str]:
         return _sweep_point(spec, points[n], contexts[n], options, solve)
 
     if workers > 1:
@@ -254,14 +243,10 @@ def emit_sweep(spec: HomogeneousSpaceSpec, grid: SweepGrid, options: SolverOptio
         header += ["c", "residual"]
     writer.writerow(header)
     notes = []
-    for row in rows:
-        record = [_fmt(v) for v in row.z]
-        record += [row.fields["status"], row.fields["apical"], row.fields["sigma"], row.fields["margin"]]
-        if solve:
-            record += [row.fields["c"], row.fields["residual"]]
+    for record, note in rows:
         writer.writerow(record)
-        if row.note:
-            notes.append(f"z={','.join(_fmt(v) for v in row.z)}: {row.note}")
+        if note:
+            notes.append(f"z={','.join(record[:spec.s])}: {note}")
     return buffer.getvalue(), notes
 
 

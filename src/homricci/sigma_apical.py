@@ -3,9 +3,9 @@
 For an intermediate subalgebra J the quantity sigma(J, T) is the supremum of
 hatS over the unit-trace slice.  A single summand makes the slice one point
 and sigma has a closed form.  Larger slices combine an interior maximization
-with a recursion over the maximal subalgebras inside J: the supremum is
-either an interior stationary value or inherited from a smaller subalgebra,
-and the two candidates are compared to decide attainment.
+with the bound, the largest sigma strictly inside J: the supremum is either
+an interior stationary value or inherited from a smaller subalgebra, and the
+two candidates are compared to decide attainment.
 
 The pivot of the existence test is a proper subalgebra whose sigma is
 attained and dominates the sigma of every maximal intermediate subalgebra.
@@ -21,6 +21,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from typing import Sequence
+
+import numpy as np
 
 from .curvature import slice_term_system
 from .solver import (
@@ -172,12 +174,13 @@ def sigma_irreducible(spec: HomogeneousSpaceSpec, i: int, z) -> SigmaResult:
 class SigmaContext:
     """Memoised sigma evaluations for one (spec, tensor) pair.
 
-    The first time a composite J is needed, every composite subalgebra
-    inside J that is not yet known is solved in one
-    :func:`maximize_hatS_on_slices` call, so slices of equal dimension
-    advance together; :meth:`sigmas` does the same for several sets at once,
-    and :func:`solve_together` for the existence tests of several contexts.
-    Not safe to share across threads; each worker should hold its own.
+    The table is filled smallest-first: asking for J stores every closed
+    set inside J not known yet in lattice order (size, then lexicographic),
+    so a composite set finds its bound, the largest sigma strictly inside
+    it, already stored.  Their slices are solved in one
+    :func:`maximize_hatS_on_slices` call; :func:`solve_together` fills the
+    existence tests of several contexts with one such call.  Not safe to
+    share across threads; each worker should hold its own.
     """
 
     def __init__(self, spec: HomogeneousSpaceSpec, z, options: SolverOptions | None = None):
@@ -185,99 +188,104 @@ class SigmaContext:
         self.z = coefficients_array(z, spec.s, "z")
         self.options = options or SolverOptions()
         self._memo: dict[frozenset[int], SigmaResult] = {}
-        self._reports: dict[frozenset[int], OptimizationReport] = {}
 
     def sigma(self, J) -> SigmaResult:
-        Jset = _as_index_set(J)
-        cached = self._memo.get(Jset.indices)
-        if cached is not None:
-            return cached
-        if not is_bracket_closed(self.spec, Jset):
-            raise ValueError(f"index set {Jset} is not bracket-closed")
-        if len(Jset) == 1:
-            result = sigma_irreducible(self.spec, Jset.sorted[0], self.z)
-        else:
-            result = self._sigma_composite(Jset)
-        self._memo[Jset.indices] = result
-        return result
+        return self.sigmas([J])[0]
 
     def sigmas(self, Js) -> list[SigmaResult]:
         """sigma of each J, with every slice they need solved in one call."""
         Jsets = [_as_index_set(J) for J in Js]
-        self._solve_within(Jsets)
-        return [self.sigma(J) for J in Jsets]
+        _fill([self], Jsets)
+        return [self._memo[J.indices] for J in Jsets]
 
-    def _pending(self, Jsets: Sequence[SubalgebraIndexSet]) -> dict[frozenset[int], SubalgebraIndexSet]:
-        """Every composite subalgebra inside one of ``Jsets`` whose sigma and
-        report are not known yet."""
-        pending: dict[frozenset[int], SubalgebraIndexSet] = {}
-        # the lattice holds every closed set but the full one
-        candidates = intermediate_subalgebras(self.spec).all_proper + tuple(
-            J for J in Jsets if len(J) == self.spec.s)
-        for Jset in Jsets:
-            for K in candidates:
-                if (len(K) > 1 and K.indices <= Jset.indices and K.indices not in self._memo
-                        and K.indices not in self._reports):
-                    pending.setdefault(K.indices, K)
-        return pending
 
-    def _solve_within(self, Jsets: Sequence[SubalgebraIndexSet]) -> None:
-        """Solve the slice of every composite subalgebra inside one of
-        ``Jsets`` whose sigma and report are not known yet."""
-        pending = self._pending(Jsets)
-        if pending:
-            reports = maximize_hatS_on_slices(self.spec, pending.values(), [self.z] * len(pending),
-                                              self.options)
-            self._reports.update(zip(pending, reports))
-
-    def _sigma_composite(self, Jset: SubalgebraIndexSet) -> SigmaResult:
-        if Jset.indices not in self._reports:
-            self._solve_within([Jset])
-        report = self._reports.pop(Jset.indices)
-        sub_results = [self.sigma(Jp) for Jp in maximal_within(self.spec, Jset)]
-        recursive = max((r.value for r in sub_results), default=None)
-
-        if not report.converged and recursive is None:
-            raise SolverError(
-                f"interior maximization failed on {Jset} and it has no proper "
-                f"subalgebra to recurse into: {report.diagnostics}"
-            )
-        boundary_adjacent = (
-            report.converged
-            and recursive is not None
-            and max(report.argmax) / min(report.argmax) > BOUNDARY_ADJACENT_RATIO
-            and report.value <= recursive + ATTAINMENT_TOLERANCE * max(1.0, abs(recursive))
+def _sigma_composite(J: SubalgebraIndexSet, report: OptimizationReport, bound: float | None) -> SigmaResult:
+    """sigma of a composite J from its slice report and ``bound``, the largest
+    sigma strictly inside J (None when no closed set lies inside it)."""
+    if not report.converged and bound is None:
+        raise SolverError(
+            f"interior maximization failed on {J} and it has no proper "
+            f"subalgebra to recurse into: {report.diagnostics}"
         )
-        if report.converged and not boundary_adjacent and (
-            recursive is None
-            or report.value >= recursive - ATTAINMENT_TOLERANCE * max(1.0, abs(recursive))
-        ):
-            value = report.value if recursive is None else max(report.value, recursive)
-            return SigmaResult(
-                J=Jset,
-                value=value,
-                attained=True,
-                witness=report.argmax,
-                source=SigmaSource.INTERIOR_MAXIMUM,
-            )
+    boundary_adjacent = (
+        report.converged
+        and bound is not None
+        and max(report.argmax) / min(report.argmax) > BOUNDARY_ADJACENT_RATIO
+        and report.value <= bound + ATTAINMENT_TOLERANCE * max(1.0, abs(bound))
+    )
+    if report.converged and not boundary_adjacent and (
+        bound is None
+        or report.value >= bound - ATTAINMENT_TOLERANCE * max(1.0, abs(bound))
+    ):
+        value = report.value if bound is None else max(report.value, bound)
         return SigmaResult(
-            J=Jset,
-            value=recursive,
-            attained=False,
-            witness=None,
-            source=SigmaSource.BOUNDARY_RECURSION,
+            J=J,
+            value=value,
+            attained=True,
+            witness=report.argmax,
+            source=SigmaSource.INTERIOR_MAXIMUM,
         )
+    return SigmaResult(
+        J=J,
+        value=bound,
+        attained=False,
+        witness=None,
+        source=SigmaSource.BOUNDARY_RECURSION,
+    )
+
+
+def _fill(contexts: Sequence[SigmaContext], Js: Sequence[SubalgebraIndexSet]) -> None:
+    """Store in each context, smallest first, the sigma of every closed set
+    inside one of ``Js`` that it does not know yet; the contexts share one
+    spec and one set of solver options.  Singletons alone need no lattice.
+
+    A stored sigma is its bound or more, so sigma never decreases along
+    inclusion, and a set's bound, the largest sigma stored strictly inside
+    it, equals the largest over its maximal subalgebras.
+    """
+    spec, options = contexts[0].spec, contexts[0].options
+    asked = {J.indices: J for J in Js if any(J.indices not in ctx._memo for ctx in contexts)}
+    if not asked:
+        return
+    for J in asked.values():
+        if not is_bracket_closed(spec, J):
+            raise ValueError(f"index set {J} is not bracket-closed")
+    if all(len(J) == 1 for J in asked.values()):
+        closed, masks = sorted(asked.values(), key=lambda J: J.sorted), None
+    else:  # the lattice holds every closed set but the full one
+        closed = intermediate_subalgebras(spec).all_proper + tuple(
+            J for J in asked.values() if len(J) == spec.s)
+        masks = np.array([sum(1 << i for i in K.indices) for K in closed], dtype=np.int64)
+        inside = np.zeros(len(closed), dtype=bool)
+        for J in asked:
+            inside |= (masks & sum(1 << i for i in J)) == masks
+        closed, masks = [K for K, keep in zip(closed, inside) if keep], masks[inside]
+
+    composite = [(ctx, K) for ctx in contexts for K in closed if len(K) > 1 and K.indices not in ctx._memo]
+    reports = iter(maximize_hatS_on_slices(spec, [K for _, K in composite],
+                                           [ctx.z for ctx, _ in composite], options))
+    for ctx in contexts:
+        values = np.empty(len(closed))
+        for p, K in enumerate(closed):
+            result = ctx._memo.get(K.indices)
+            if result is None:
+                if len(K) == 1:
+                    result = sigma_irreducible(spec, K.sorted[0], ctx.z)
+                else:
+                    below = values[:p][(masks[:p] & masks[p]) == masks[:p]]
+                    result = _sigma_composite(K, next(reports), float(below.max()) if below.size else None)
+                ctx._memo[K.indices] = result
+            values[p] = result.value
 
 
 def solve_together(contexts: Sequence[SigmaContext]) -> None:
-    """Solve, in one :func:`maximize_hatS_on_slices` call, every composite
-    slice that the existence test of each context needs and that the context
-    does not know yet.
+    """Fill, with one slice solve, the sigma table that the existence test of
+    each context needs.
 
     The contexts share one spec and one set of solver options, and each
-    report is the one its context would compute alone.  If the call fails,
-    every context is left as it was: each then solves its own slices when
-    asked, so the failure stays with the tensor that caused it.
+    sigma is the one its context would compute alone.  If the fill fails,
+    the contexts keep what it stored before the failure and fill the rest
+    when asked, so the failure stays with the tensor that caused it.
     """
     if not contexts:
         return
@@ -286,18 +294,10 @@ def solve_together(contexts: Sequence[SigmaContext]) -> None:
         raise ValueError("contexts solved together must share the spec and the solver options")
     if not len(nonzero_slots(spec)):
         return  # the verdict is degenerate and solves nothing
-    maximal = intermediate_subalgebras(spec).maximal
-    pending = [ctx._pending(maximal) for ctx in contexts]
-    Js = [K for needed in pending for K in needed.values()]
-    zs = [ctx.z for ctx, needed in zip(contexts, pending) for _ in needed]
     try:
-        reports = maximize_hatS_on_slices(spec, Js, zs, options)
+        _fill(contexts, intermediate_subalgebras(spec).maximal)
     except (SolverError, ValueError):
         return
-    first = 0
-    for ctx, needed in zip(contexts, pending):
-        ctx._reports.update(zip(needed, reports[first: first + len(needed)]))
-        first += len(needed)
 
 
 def sigma(spec: HomogeneousSpaceSpec, J, z, options: SolverOptions | None = None) -> SigmaResult:

@@ -74,6 +74,7 @@ ARMIJO = 1e-4                  # sufficient-increase constant of the line search
 VALUE_TIE = 1e-9               # near-optimal stationary points kept within this
 MAX_BATCH_ENTRIES = 1 << 20    # rows x terms x k of one batch, bounding its work arrays
 POLISH_STEPS = 3               # Newton steps on Ric = c T after a fit that misses
+START_BOX = 3.0                # restarts start in [-START_BOX, START_BOX]^k in w = log y
 _TINY = np.finfo(float).tiny
 
 # one prime per slice coordinate, up to MAX_EXHAUSTIVE_SUMMANDS
@@ -89,7 +90,6 @@ class SolverOptions:
     seed: int = 0
     restarts: int = 16
     max_iterations: int = 10_000
-    start_box: float = 3.0
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -427,7 +427,7 @@ def _maximize(spec: HomogeneousSpaceSpec, slices: list[tuple[int, ...]], zs: lis
         systems = [slice_term_system(spec, slices[p]) for p in positions]
         terms = max(len(system.coefficients) for system in systems)
         per_batch = max(1, MAX_BATCH_ENTRIES // (R * terms * k))
-        starts = options.start_box * (2.0 * np.array([
+        starts = START_BOX * (2.0 * np.array([
             [_halton(options.seed * R + r + 1, p) for p in _HALTON_PRIMES[:k]]
             for r in range(R)
         ]) - 1.0)

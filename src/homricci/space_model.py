@@ -159,6 +159,11 @@ class HomogeneousSpaceSpec:
                 if not 1 <= idx <= s:
                     raise SpecError(f"index {idx} out of range 1..{s}", f"triples[{multiset}]")
 
+    def __hash__(self) -> int:
+        # equal specs share name and d; the constant table is left out
+        # because per-spec caches hash the spec on every lookup
+        return hash((self.name, self.d))
+
     @property
     def s(self) -> int:
         return len(self.d)

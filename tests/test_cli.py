@@ -439,6 +439,39 @@ def test_sweep_failed_slice_gives_one_error_row(capsys, monkeypatch):
     assert err == "z=2,1,1,1: injected failure\n"
 
 
+def test_sweep_failed_attainment_gives_one_error_row(capsys, monkeypatch, tmp_path):
+    # {1,2} is the only subalgebra and holds no smaller one, so a slice that
+    # does not converge leaves its sigma undecided; the points solved
+    # together with the failing one keep their rows
+    import dataclasses
+
+    import homricci.sigma_apical as sigma_apical
+
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({
+        "name": "pair", "d": [2, 2, 2],
+        "triples": [{"i": 1, "j": 1, "k": 2, "value": 1}, {"i": 1, "j": 2, "k": 2, "value": 1},
+                    {"i": 1, "j": 3, "k": 3, "value": 1}],
+    }))
+    args = ("sweep", "--space", str(path), "--T", "1,1,1", "--grid", "1=1:3:3")
+    _, healthy, _ = invoke(capsys, *args)
+    real = sigma_apical.maximize_hatS_on_slices
+
+    def unconverged(spec, Js, zs, options=None):
+        reports = real(spec, Js, zs, options)
+        return tuple(dataclasses.replace(r, converged=False, diagnostics="injected") if z[0] == 2.0 else r
+                     for r, z in zip(reports, zs))
+
+    monkeypatch.setattr(sigma_apical, "maximize_hatS_on_slices", unconverged)
+    code, out, err = invoke(capsys, *args)
+    assert code == EXIT_OK
+    lines, expected = out.splitlines(), healthy.splitlines()
+    assert [lines[0], lines[1], lines[3]] == [expected[0], expected[1], expected[3]]
+    assert "error" not in healthy and lines[2] == "2,1,1,error,,,"
+    assert err == ("z=2,1,1: interior maximization failed on {1,2} and it has no proper "
+                   "subalgebra to recurse into: injected\n")
+
+
 def test_sweep_rows_match_single_checks(capsys, tmp_path):
     # a sweep solves the slices of all its points in one call; every row must
     # still carry, bit for bit, the verdict of a check at that point alone

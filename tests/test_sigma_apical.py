@@ -5,6 +5,7 @@ import pytest
 
 from homricci.curvature import hat_scalar_curvature, metric_trace_of_T
 from homricci.sigma_apical import (
+    BOUNDARY_ADJACENT_RATIO,
     NoProperSubalgebraError,
     SigmaContext,
     SigmaSource,
@@ -14,9 +15,11 @@ from homricci.sigma_apical import (
     sigma,
     sigma_irreducible,
     wallach_existence_check,
+    _sigma_composite,
 )
-from homricci.space_model import load_space_spec, wallach_space
-from homricci.subalgebras import intermediate_subalgebras
+from homricci.solver import OptimizationReport, SolverError
+from homricci.space_model import SubalgebraIndexSet, load_space_spec, wallach_space
+from homricci.subalgebras import intermediate_subalgebras, maximal_within
 
 from oracles import (
     all_closed_subsets,
@@ -190,6 +193,90 @@ def test_sigma_nonnegative_on_builtins(g2, f4, e6):
         for J in intermediate_subalgebras(spec).all_proper:
             value = ctx.sigma(J).value
             assert 0.0 <= value < math.inf
+
+
+# ---------------------------------------------------------------------------
+# the smallest-first fill
+# ---------------------------------------------------------------------------
+
+
+def _report(value, argmax=(1.0, 2.0), converged=True):
+    return OptimizationReport(argmax=argmax, value=value, iterations=5, restarts_used=1,
+                              converged=converged, first_order_residual=0.0,
+                              diagnostics="1 of 1 restarts stalled")
+
+
+def test_attainment_rule_branches():
+    J = SubalgebraIndexSet.of(1, 2)
+    # an interior maximum above the bound is attained and keeps its witness
+    above = _sigma_composite(J, _report(0.5), 0.4)
+    assert (above.value, above.attained, above.witness, above.source) == (
+        0.5, True, (1.0, 2.0), SigmaSource.INTERIOR_MAXIMUM)
+    # a tie within the tolerance counts as attained, at the larger value
+    tie = _sigma_composite(J, _report(0.4 - 1e-12), 0.4)
+    assert tie.attained and tie.value == 0.4 and tie.witness == (1.0, 2.0)
+    # with nothing inside J, a converged slice decides alone
+    alone = _sigma_composite(J, _report(-0.25), None)
+    assert alone.attained and alone.value == -0.25
+    # below the bound, or unconverged, the supremum is the bound
+    for report in (_report(0.3), _report(0.9, converged=False)):
+        below = _sigma_composite(J, report, 0.4)
+        assert (below.value, below.attained, below.witness, below.source) == (
+            0.4, False, None, SigmaSource.BOUNDARY_RECURSION)
+    # a witness spread past BOUNDARY_ADJACENT_RATIO that gains nothing over
+    # the bound is a boundary limit; one that gains more is still attained
+    spread = (1.0, 10.0 * BOUNDARY_ADJACENT_RATIO)
+    assert not _sigma_composite(J, _report(0.4, spread), 0.4).attained
+    assert _sigma_composite(J, _report(0.5, spread), 0.4).attained
+    # an unconverged slice with nothing inside J has no value to fall back on
+    with pytest.raises(SolverError, match=r"failed on \{1,2\} and it has no proper subalgebra"
+                                          r" to recurse into: 1 of 1 restarts stalled"):
+        _sigma_composite(J, _report(0.5, converged=False), None)
+
+
+def _fill_draws():
+    for draw in range(24):
+        rng = np.random.default_rng(4400 + draw)
+        spec = random_space_spec(rng, max_summands=7, density=(0.05, 0.15, 0.35)[draw % 3])
+        lattice = intermediate_subalgebras(spec).all_proper
+        if any(len(J) > 1 for J in lattice):
+            yield spec, lattice, tuple(rng.uniform(0.3, 3.0, spec.s))
+
+
+def test_fill_order_does_not_change_sigma():
+    composite = 0
+    for spec, lattice, z in _fill_draws():
+        largest_first, smallest_first = SigmaContext(spec, z), SigmaContext(spec, z)
+        by_largest = [largest_first.sigma(J) for J in reversed(lattice)][::-1]
+        by_smallest = [smallest_first.sigma(J) for J in lattice]
+        assert by_largest == by_smallest == SigmaContext(spec, z).sigmas(lattice), spec
+        composite += sum(len(J) > 1 for J in lattice)
+    assert composite >= 100, composite
+
+
+def test_unattained_sigma_is_the_largest_over_maximal_subalgebras(f4):
+    unattained = 0
+    draws = list(_fill_draws()) + [(f4, intermediate_subalgebras(f4).all_proper, (1.0, 2.0, 1.0, 1.0))]
+    for spec, lattice, z in draws:
+        ctx = SigmaContext(spec, z)
+        for result in ctx.sigmas(lattice):
+            if not result.attained:
+                inside = ctx.sigmas(maximal_within(spec, result.J))
+                assert result.value == max(r.value for r in inside), (spec, result.J)
+                unattained += 1
+    assert unattained >= 100, unattained
+
+
+def test_singleton_sigma_needs_no_lattice():
+    # 17 summands is past the lattice scan, but a singleton's sigma is
+    # closed-form and must not scan it
+    spec = load_space_spec({"name": "wide", "d": [2] * 17,
+                            "triples": [{"i": 1, "j": 2, "k": 3, "value": 1}]})
+    z = tuple(1.0 + 0.1 * i for i in range(17))
+    assert sigma(spec, (5,), z) == sigma_irreducible(spec, 5, z)
+    assert SigmaContext(spec, z).sigmas([(7,), (5,)]) == [sigma_irreducible(spec, i, z) for i in (7, 5)]
+    with pytest.raises(ValueError, match="at most 16 summands"):
+        sigma(spec, (4, 5), z)
 
 
 # ---------------------------------------------------------------------------

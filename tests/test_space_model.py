@@ -194,6 +194,27 @@ def test_spec_is_hashable_and_frozen(g2):
         g2.name = "other"
 
 
+def test_equal_specs_loaded_apart_share_one_lattice():
+    from homricci.subalgebras import _lattice
+
+    doc = {"name": "hash_probe", "d": [4, 2, 4],
+           "triples": [{"i": 1, "j": 1, "k": 2, "value": "2/3"}, {"i": 1, "j": 2, "k": 3, "value": "1/2"}]}
+    first, second = load_space_spec(doc), load_space_spec(json.dumps(doc))
+    assert first is not second and first == second
+    assert _lattice(first) is _lattice(second)
+    assert sum(key.name == "hash_probe" for key in list(_lattice.cache.keys())) == 1
+
+
+def test_spec_hash_leaves_out_the_constant_table(monkeypatch, g2):
+    # per-spec caches hash the spec on every lookup
+    def refuse(self):
+        raise AssertionError("the constant table was hashed")
+
+    monkeypatch.setattr(StructureConstantTable, "__hash__", refuse)
+    twin = HomogeneousSpaceSpec(name=g2.name, d=g2.d, b=g2.b, triples=g2.triples)
+    assert hash(twin) == hash(g2) and {g2: "found"}[twin] == "found"
+
+
 def test_spec_validation_direct():
     with pytest.raises(SpecError):
         HomogeneousSpaceSpec(name="", d=(4,), b=(1.0,), triples=StructureConstantTable(()))
