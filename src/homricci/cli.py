@@ -21,7 +21,6 @@ import numpy as np
 
 from .curvature import scalar_curvature
 from .sigma_apical import (
-    NoProperSubalgebraError,
     SigmaContext,
     existence_check,
     existence_verdict,
@@ -206,7 +205,7 @@ def _sweep_point(spec: HomogeneousSpaceSpec, z: tuple[float, ...], ctx: SigmaCon
             _, _, verification, note = _solve(spec, z, options)
             if not note:
                 cells[4:] = [_fmt(verification.c), _fmt(verification.residual)]
-    except (SolverError, NoProperSubalgebraError, ValueError) as exc:
+    except (SolverError, ValueError) as exc:
         cells = ["error"] + [""] * (len(cells) - 1)
         note = f"{exc}"
     return [_fmt(v) for v in z] + cells, note
@@ -406,10 +405,7 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_INVALID_INPUT
     try:
         return _COMMANDS[args.command](args)
-    except (SpecError, NoProperSubalgebraError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # bad input, or a --space file that cannot be read
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except SolverError as exc:

@@ -41,10 +41,10 @@ from .space_model import (
 )
 from .subalgebras import (
     _as_index_set,
+    bracket_reach,
     intermediate_subalgebras,
     is_bracket_closed,
     maximal_within,
-    nonzero_slots,
 )
 
 __all__ = [
@@ -158,9 +158,14 @@ def sigma_irreducible(spec: HomogeneousSpaceSpec, i: int, z) -> SigmaResult:
     the supremum is attained there and equals c / (d_i z_i).
     """
     zs = coefficients_array(z, spec.s, "z")
-    J = SubalgebraIndexSet.of(i)
-    if not is_bracket_closed(spec, J):
+    if not is_bracket_closed(spec, SubalgebraIndexSet.of(i)):
         raise ValueError(f"summand {i} does not span a subalgebra")
+    return _closed_form(spec, i, zs)
+
+
+def _closed_form(spec: HomogeneousSpaceSpec, i: int, zs: tuple[float, ...]) -> SigmaResult:
+    """:func:`sigma_irreducible` for a summand known to be closed."""
+    J = SubalgebraIndexSet.of(i)
     point = spec.d[i - 1] * zs[i - 1]
     return SigmaResult(
         J=J,
@@ -255,10 +260,10 @@ def _fill(contexts: Sequence[SigmaContext], Js: Sequence[SubalgebraIndexSet]) ->
     else:  # the lattice holds every closed set but the full one
         closed = intermediate_subalgebras(spec).all_proper + tuple(
             J for J in asked.values() if len(J) == spec.s)
-        masks = np.array([sum(1 << i for i in K.indices) for K in closed], dtype=np.int64)
+        masks = np.array([K.mask for K in closed], dtype=np.int64)
         inside = np.zeros(len(closed), dtype=bool)
-        for J in asked:
-            inside |= (masks & sum(1 << i for i in J)) == masks
+        for J in asked.values():
+            inside |= (masks & J.mask) == masks
         closed, masks = [K for K, keep in zip(closed, inside) if keep], masks[inside]
 
     composite = [(ctx, K) for ctx in contexts for K in closed if len(K) > 1 and K.indices not in ctx._memo]
@@ -270,7 +275,7 @@ def _fill(contexts: Sequence[SigmaContext], Js: Sequence[SubalgebraIndexSet]) ->
             result = ctx._memo.get(K.indices)
             if result is None:
                 if len(K) == 1:
-                    result = sigma_irreducible(spec, K.sorted[0], ctx.z)
+                    result = _closed_form(spec, K.sorted[0], ctx.z)
                 else:
                     below = values[:p][(masks[:p] & masks[p]) == masks[:p]]
                     result = _sigma_composite(K, next(reports), float(below.max()) if below.size else None)
@@ -292,7 +297,7 @@ def solve_together(contexts: Sequence[SigmaContext]) -> None:
     spec, options = contexts[0].spec, contexts[0].options
     if any(ctx.spec != spec or ctx.options != options for ctx in contexts):
         raise ValueError("contexts solved together must share the spec and the solver options")
-    if not len(nonzero_slots(spec)):
+    if not any(map(any, bracket_reach(spec))):
         return  # the verdict is degenerate and solves nothing
     try:
         _fill(contexts, intermediate_subalgebras(spec).maximal)
@@ -399,7 +404,7 @@ def existence_verdict(ctx: SigmaContext) -> ExistenceVerdict:
     """:func:`existence_check` for the spec and tensor of ``ctx``, reusing
     every slice the context has already solved."""
     spec = ctx.spec
-    if not len(nonzero_slots(spec)):
+    if not any(map(any, bracket_reach(spec))):  # no bracket reaches anything
         return _degenerate_verdict()
     primary, candidates = _apical_search(ctx)
     complement = primary.J.complement(spec.s)

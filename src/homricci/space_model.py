@@ -223,6 +223,16 @@ class SubalgebraIndexSet:
     def from_iterable(cls, indices: Iterable[int]) -> "SubalgebraIndexSet":
         return cls(frozenset(indices))
 
+    @classmethod
+    def from_mask(cls, mask: int) -> "SubalgebraIndexSet":
+        return cls(frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1))
+
+    @cached_property
+    def mask(self) -> int:
+        """Bit i-1 set for each summand i; K lies inside J when
+        ``K.mask & J.mask == K.mask``."""
+        return sum(1 << (i - 1) for i in self.indices)
+
     def complement(self, s: int) -> frozenset[int]:
         return frozenset(range(1, s + 1)) - self.indices
 
@@ -238,12 +248,6 @@ class SubalgebraIndexSet:
 
     def __len__(self) -> int:
         return len(self.indices)
-
-    def __le__(self, other: "SubalgebraIndexSet") -> bool:
-        return self.indices <= other.indices
-
-    def __lt__(self, other: "SubalgebraIndexSet") -> bool:
-        return self.indices < other.indices
 
     def __str__(self) -> str:
         return "{" + ",".join(str(i) for i in self.sorted) + "}"

@@ -4,7 +4,9 @@ With pairwise inequivalent isotropy summands, a sum of summands (plus the
 isotropy algebra) is a subalgebra exactly when no bracket of two member
 summands leaks into the complement: [jkl] = 0 whenever j, k are in the set
 and l is not.  The test is an exact zero test on the stored constants, which
-either vanish identically or are bounded away from zero.
+either vanish identically or are bounded away from zero.  Both the single
+test and the exhaustive scan read one table per spec, :func:`bracket_reach`:
+J is closed exactly when the summands reached from pairs inside J lie in J.
 
 The lattice depends on the spec alone, so it is scanned once per spec and
 kept until the spec itself is garbage collected.
@@ -20,8 +22,8 @@ from .space_model import HomogeneousSpaceSpec, SubalgebraIndexSet, memoize_per_s
 
 __all__ = [
     "SubalgebraLattice",
+    "bracket_reach",
     "is_bracket_closed",
-    "nonzero_slots",
     "intermediate_subalgebras",
     "maximal_within",
     "check_summand_count",
@@ -47,24 +49,22 @@ def _as_index_set(J) -> SubalgebraIndexSet:
 
 
 @memoize_per_spec
-def nonzero_slots(spec: HomogeneousSpaceSpec) -> np.ndarray:
-    """Zero-based slots of every nonzero multiset, one (i, j, k) row each,
-    shape (n, 3), computed once per spec and shared, hence read-only."""
-    slots = np.array([[x - 1 for x in multiset] for multiset, _ in spec.triples.nonzero_multisets()],
-                     dtype=np.intp).reshape(-1, 3)
-    slots.flags.writeable = False
-    return slots
+def bracket_reach(spec: HomogeneousSpaceSpec) -> tuple[tuple[int, ...], ...]:
+    """``reach[a][b]``: the summands c with [abc] != 0 as a mask (bit c-1),
+    for the zero-based pair (a, b), computed once per spec."""
+    reach = [[0] * spec.s for _ in range(spec.s)]
+    for (a, b, c), _ in spec.triples.ordered_entries:
+        reach[a - 1][b - 1] |= 1 << (c - 1)
+    return tuple(map(tuple, reach))
 
 
 def is_bracket_closed(spec: HomogeneousSpaceSpec, J) -> bool:
-    """True when the summands named by J span a subalgebra.
-
-    A nonzero constant on a multiset with exactly two slots inside J
-    witnesses a bracket of two members landing outside, so J fails.
-    """
-    member = np.zeros(spec.s, dtype=np.int8)
-    member[[i - 1 for i in resolve_indices(spec, J)]] = 1
-    return not (member[nonzero_slots(spec)].sum(axis=1) == 2).any()
+    """True when the summands named by J span a subalgebra: no bracket of
+    two members reaches a summand outside J."""
+    members = resolve_indices(spec, J)
+    outside = ~SubalgebraIndexSet.from_iterable(members).mask
+    reach = bracket_reach(spec)
+    return not any(reach[a - 1][b - 1] & outside for a in members for b in members)
 
 
 @dataclass(frozen=True)
@@ -91,52 +91,42 @@ def _maximal(members) -> list[SubalgebraIndexSet]:
     by size, then lexicographically, and the result keeps that order.
 
     Scanning from the largest down, a member strictly inside any other lies
-    strictly inside one already kept, so only the kept ones are compared.
+    strictly inside one already kept, so only the kept ones are compared;
+    none of them is J or smaller, so J lies strictly inside one it fits in.
     """
     kept: list[SubalgebraIndexSet] = []
     for J in reversed(members):
-        if not any(J < other for other in kept):
+        if not any(J.mask & K.mask == J.mask for K in kept):
             kept.append(J)
     kept.reverse()
     return kept
 
 
 def _closed_masks(spec: HomogeneousSpaceSpec) -> list[int]:
-    """Bitmasks (bit i-1 for summand i) of every non-empty proper closed set.
+    """Masks of every non-empty proper closed set, in increasing order.
 
-    Every nonzero multiset drops the masks holding exactly two of its three
-    slots, counted with repetition as in :func:`is_bracket_closed`.  Such a
-    mask holds all of the multiset's summands but one, and the one left out
-    fills a single slot: (i,j,k) drops three patterns, (i,i,k) and (i,k,k)
-    one each, (i,i,i) none.  The work arrays are allocated once per scan;
-    filtering into ever smaller arrays was faster but fragmented the heap,
-    raising peak memory by about 1 MB over 60 scans at s = 16.
+    ``reach[m]``, the union of :func:`bracket_reach` over the pairs inside
+    mask m, is filled by doubling: the masks with top bit t are the masks m
+    below 2^t plus t, whose new pairs are (t, t) and (a, t) for a in m; the
+    union over those, ``across[m]``, doubles over a the same way.  m is
+    closed when ``reach[m]`` lies inside m.
     """
-    slots = nonzero_slots(spec)
-    bits = np.left_shift(1, slots)
-    unions = np.bitwise_or.reduce(bits, axis=1)
-    drops = []
-    for c in range(3):
-        once = (slots[:, c] != slots[:, c - 1]) & (slots[:, c] != slots[:, c - 2])
-        drops += zip(unions[once].tolist(), (unions[once] ^ bits[once, c]).tolist())
-    masks = np.arange(1, (1 << spec.s) - 1, dtype=np.uint16)
-    keep = np.ones(masks.shape, dtype=bool)
-    inside = np.empty_like(masks)
-    differs = np.empty_like(keep)
-    for union, pattern in drops:
-        np.bitwise_and(masks, union, out=inside)
-        np.not_equal(inside, pattern, out=differs)
-        keep &= differs
-    return masks[keep].tolist()
+    table = np.array(bracket_reach(spec), dtype=np.uint16)
+    reach = np.zeros(1 << spec.s, dtype=np.uint16)
+    across = np.empty(reach.size >> 1, dtype=np.uint16)
+    for t in range(spec.s):
+        across[0] = table[t, t]
+        for a in range(t):
+            np.bitwise_or(across[:1 << a], table[a, t], out=across[1 << a:2 << a])
+        np.bitwise_or(reach[:1 << t], across[:1 << t], out=reach[1 << t:2 << t])
+    masks = np.arange(reach.size, dtype=np.uint16)
+    closed = np.bitwise_or(reach, masks, out=reach) == masks
+    return (np.flatnonzero(closed[1:-1]) + 1).tolist()
 
 
 @memoize_per_spec
 def _lattice(spec: HomogeneousSpaceSpec) -> SubalgebraLattice:
-    closed = sorted(
-        (SubalgebraIndexSet.from_iterable(i + 1 for i in range(spec.s) if mask >> i & 1)
-         for mask in _closed_masks(spec)),
-        key=_sort_key,
-    )
+    closed = sorted(map(SubalgebraIndexSet.from_mask, _closed_masks(spec)), key=_sort_key)
     return SubalgebraLattice(all_proper=tuple(closed), maximal=tuple(_maximal(closed)))
 
 
@@ -157,5 +147,6 @@ def maximal_within(spec: HomogeneousSpaceSpec, J) -> list[SubalgebraIndexSet]:
     Jset = _as_index_set(J)
     if not is_bracket_closed(spec, Jset):
         raise ValueError(f"index set {Jset} is not bracket-closed")
-    lattice = intermediate_subalgebras(spec)
-    return _maximal([K for K in lattice.all_proper if K < Jset])
+    inside = [K for K in intermediate_subalgebras(spec).all_proper
+              if K.mask & Jset.mask == K.mask and K.mask != Jset.mask]
+    return _maximal(inside)

@@ -104,21 +104,22 @@ def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12, iterations: 
     return mid, f(mid)
 
 
+def is_closed_subset(spec: HomogeneousSpaceSpec, J) -> bool:
+    """No constant [jkl] with j, k in J and l outside J is nonzero."""
+    J = frozenset(J)
+    for j in J:
+        for k in J:
+            for l in range(1, spec.s + 1):
+                if l not in J and spec.constant(j, k, l) != 0.0:
+                    return False
+    return True
+
+
 def all_closed_subsets(spec: HomogeneousSpaceSpec) -> set[frozenset[int]]:
     """Exhaustive closure scan written independently of the library."""
-    closed = set()
     s = spec.s
-    for mask in range(1, (1 << s) - 1):
-        J = frozenset(i + 1 for i in range(s) if mask >> i & 1)
-        ok = True
-        for j in J:
-            for k in J:
-                for l in range(1, s + 1):
-                    if l not in J and spec.constant(j, k, l) != 0.0:
-                        ok = False
-        if ok:
-            closed.add(J)
-    return closed
+    subsets = (frozenset(i + 1 for i in range(s) if mask >> i & 1) for mask in range(1, (1 << s) - 1))
+    return {J for J in subsets if is_closed_subset(spec, J)}
 
 
 def maximal_closed_within(closed: set[frozenset[int]], J: frozenset[int]) -> set[frozenset[int]]:
@@ -148,9 +149,11 @@ def psi_peak_value(z2: float, z4: float) -> float:
 
 
 def random_space_spec(rng: np.random.Generator, max_summands: int = 5,
-                      density: float = 0.35, allow_zero_b: bool = True) -> HomogeneousSpaceSpec:
-    """Deterministic random spec with sparse non-negative constants."""
-    s = int(rng.integers(1, max_summands + 1))
+                      density: float = 0.35, allow_zero_b: bool = True,
+                      summands: int | None = None) -> HomogeneousSpaceSpec:
+    """Deterministic random spec with sparse non-negative constants and
+    ``summands`` summands, or a random count up to ``max_summands``."""
+    s = int(rng.integers(1, max_summands + 1)) if summands is None else summands
     d = [int(rng.integers(1, 9)) for _ in range(s)]
     while sum(d) < 3:
         d[rng.integers(0, s)] += 1

@@ -1,5 +1,6 @@
 import json
 import math
+import shlex
 from pathlib import Path
 
 import pytest
@@ -139,6 +140,12 @@ def test_bad_numbers_in_space_file_are_exit_2(capsys, tmp_path, changes, field):
 def test_check_missing_file(capsys, tmp_path):
     code, _, _ = invoke(capsys, "check", "--space", str(tmp_path / "absent.json"), "--T", "1,1,1")
     assert code == EXIT_INVALID_INPUT
+
+
+def test_check_space_directory_is_exit_2(capsys, tmp_path):
+    code, out, err = invoke(capsys, "check", "--space", str(tmp_path), "--T", "1,1,1")
+    assert code == EXIT_INVALID_INPUT and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_check_maximal_isotropy_rejected(capsys, tmp_path):
@@ -541,3 +548,27 @@ def test_reused_parser_answers_like_fresh_ones(capsys, monkeypatch):
     fresh = [invoke(capsys, *argv) for argv in requests]
     assert shared == fresh
     assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 2, 0, 0, 0, 2, 0]
+
+
+# ---------------------------------------------------------------------------
+# README examples
+# ---------------------------------------------------------------------------
+
+
+def _readme_commands() -> list[list[str]]:
+    """Every ``homricci ...`` command in the README, continuation lines joined."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for line in text.replace("\\\n", " ").splitlines():
+        if line.startswith("homricci "):
+            commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_examples_exit_0(capsys):
+    commands = [argv for argv in _readme_commands() if "myspace.json" not in argv]
+    assert len(commands) >= 7
+    for argv in commands:
+        code, out, err = invoke(capsys, *argv)
+        assert code == EXIT_OK, (argv, err)
+        assert out

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from itertools import combinations
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,7 @@ from homricci.subalgebras import (
     maximal_within,
 )
 
-from oracles import all_closed_subsets, maximal_closed_within, random_space_spec
+from oracles import all_closed_subsets, is_closed_subset, maximal_closed_within, random_space_spec
 
 
 def _sets(items):
@@ -144,6 +145,54 @@ def test_maximal_within_matches_oracle_on_random_specs(seed, density):
         assert _sets(subs) == maximal_closed_within(closed, J)
         keys = [(len(K), K.sorted) for K in subs]
         assert keys == sorted(keys)
+
+
+# s = 12-16 reach the top bits of the scan.  Every draw but the densest adds
+# repeated indices on the top summands: (3,3,s) leads from 3 to s, (s-1,s,s)
+# from s to s-1, and (s,s,s) leads nowhere new.
+WIDE_DRAWS = [(s, density) for s in (12, 13, 14, 15, 16) for density in (0.006, 0.02, 0.1)]
+
+
+def _wide_spec(s, density):
+    spec = random_space_spec(np.random.default_rng(2000 + s), density=density, summands=s)
+    if density < 0.1:
+        entries = dict(spec.triples.entries)
+        entries.update({(3, 3, s): 1.0, (s - 1, s, s): 0.5, (s, s, s): 2.0})
+        spec = replace(spec, triples=StructureConstantTable.from_items(entries))
+    return spec
+
+
+def _subsets(J):
+    members = sorted(J)
+    return [frozenset(i for n, i in enumerate(members) if mask >> n & 1)
+            for mask in range(1, 1 << len(members))]
+
+
+@pytest.mark.parametrize("s,density", WIDE_DRAWS)
+def test_wide_lattice_and_maximal_within_match_oracle(s, density):
+    spec = _wide_spec(s, density)
+    lattice = intermediate_subalgebras(spec)
+    found = _sets(lattice.all_proper)
+    full = frozenset(range(1, s + 1))
+    rng = np.random.default_rng(s)
+    if s <= 13:  # the whole scan
+        closed = all_closed_subsets(spec)
+        assert found == closed
+        assert _sets(lattice.maximal) == maximal_closed_within(closed, full)
+    else:  # every set of at most 2 or at least s-2 summands and a seeded sample
+        edges = [frozenset(J) for size in (1, 2, s - 2, s - 1) for J in combinations(full, size)]
+        drawn = [frozenset(int(i) + 1 for i in np.flatnonzero(rng.random(s) < 0.5)) for _ in range(600)]
+        for J in edges + drawn:
+            if J and J != full:
+                assert (J in found) == is_closed_subset(spec, J), sorted(J)
+        members = sorted(found, key=sorted)
+        for n in rng.permutation(len(members))[:150]:
+            assert is_closed_subset(spec, members[n]), sorted(members[n])
+    # maximal_within against the closed subsets of J judged one by one
+    small = sorted((J for J in found if len(J) <= 9), key=lambda J: (len(J), sorted(J)))
+    for J in small[::max(1, len(small) // 30)]:
+        inside = {K for K in _subsets(J) if K != J and is_closed_subset(spec, K)}
+        assert _sets(maximal_within(spec, J)) == maximal_closed_within(inside, J), sorted(J)
 
 
 def test_repeated_index_multisets_close_like_the_oracle():
