@@ -15,7 +15,9 @@ complement Jc:
 Both are sums of signed monomials in the coefficients with exponents in
 {-2, -1, 0, 1}; ``slice_term_system`` compiles that sparse representation
 once per (spec, index set) and every evaluator here shares it, so the full
-index set reproduces S exactly.
+index set reproduces S exactly.  A slice is compiled from the spec's array
+of ordered entries (:func:`~homricci.subalgebras.ordered_entries`) by index
+masks, and like terms are added in entry order.
 
 Slice coefficient vectors are always ordered by ascending summand index.
 """
@@ -32,10 +34,12 @@ from .space_model import (
     memoize_per_spec,
     resolve_indices,
 )
+from .subalgebras import ordered_entries
 
 __all__ = [
     "TermSystem",
     "slice_term_system",
+    "singleton_coefficients",
     "scalar_curvature",
     "hat_scalar_curvature",
     "metric_trace_of_T",
@@ -83,33 +87,42 @@ class TermSystem:
 
 
 def _compile(spec: HomogeneousSpaceSpec, indices: tuple[int, ...]) -> TermSystem:
-    member = set(indices)
-    pos = {i: p for p, i in enumerate(indices)}
-    k = len(indices)
-    terms: dict[tuple[int, ...], float] = {}
+    a, b, c, values = ordered_entries(spec)
+    k, own = len(indices), np.array(indices) - 1
+    pos = np.full(spec.s, -1)
+    pos[own] = np.arange(k)
+    pa, pb, pc = pos[a], pos[b], pos[c]
+    leaks = (pa >= 0) & (pb < 0) & (pc < 0)
+    cross = np.bincount(pa[leaks], weights=values[leaks], minlength=k)
+    linear = 0.5 * np.array(spec.d)[own] * np.array(spec.b)[own] - 0.5 * cross
+    inside = (pa >= 0) & (pb >= 0) & (pc >= 0)
+    pa, pb, pc = pa[inside], pb[inside], pc[inside]
+    # a term's exponent e_c - e_a - e_b is keyed (lo, hi, top) = (a, b, c) up
+    # to the order of a and b; one where c cancels a or b is the -e_p of the
+    # remaining p, keyed (p, p, p) like the linear term of p
+    cancels, p = (pc == pa) | (pc == pb), pa + pb - pc
+    lo, hi, top = (np.where(cancels, p, q) for q in (np.minimum(pa, pb), np.maximum(pa, pb), pc))
+    keys = np.concatenate([np.arange(k) * (k * k + k + 1), (lo * k + hi) * k + top])
+    # bincount adds in order: each linear term first, then the triples in entry order
+    sums = np.bincount(keys, weights=np.concatenate([linear, -0.25 * values[inside]]), minlength=k ** 3)
+    used = np.flatnonzero(np.bincount(keys, minlength=k ** 3))
+    axes = np.eye(k)
+    exps = axes[used % k] - axes[used // (k * k)] - axes[used // k % k]
+    terms = exps.tolist()
+    order = sorted(range(len(terms)), key=terms.__getitem__)
+    return TermSystem(indices=indices, coefficients=sums[used[order]], exponents=exps[order])
 
-    def add(exponent: tuple[int, ...], coefficient: float) -> None:
-        terms[exponent] = terms.get(exponent, 0.0) + coefficient
 
-    for i in indices:
-        cross = 0.0
-        for (a, b, c), value in spec.triples.ordered_entries:
-            if a == i and b not in member and c not in member:
-                cross += value
-        exponent = tuple(-1 if p == pos[i] else 0 for p in range(k))
-        add(exponent, 0.5 * spec.d[i - 1] * spec.b[i - 1] - 0.5 * cross)
-
-    for (a, b, c), value in spec.triples.ordered_entries:
-        if a in member and b in member and c in member:
-            exponent = [0] * k
-            exponent[pos[c]] += 1
-            exponent[pos[a]] -= 1
-            exponent[pos[b]] -= 1
-            add(tuple(exponent), -0.25 * value)
-
-    exps = np.array(sorted(terms), dtype=float).reshape(len(terms), k)
-    coefs = np.array([terms[tuple(int(e) for e in row)] for row in exps], dtype=float)
-    return TermSystem(indices=indices, coefficients=coefs, exponents=exps)
+@memoize_per_spec
+def singleton_coefficients(spec: HomogeneousSpaceSpec) -> np.ndarray:
+    """The coefficient c of the one term c / y of hatS on each slice {i},
+    added as :func:`slice_term_system` adds it, for all i at once."""
+    a, b, c, values = ordered_entries(spec)
+    leaks, own = (b != a) & (c != a), (b == a) & (c == a)
+    cross = np.bincount(a[leaks], weights=values[leaks], minlength=spec.s)
+    linear = 0.5 * np.array(spec.d) * np.array(spec.b) - 0.5 * cross
+    return np.bincount(np.concatenate([np.arange(spec.s), a[own]]),
+                       weights=np.concatenate([linear, -0.25 * values[own]]), minlength=spec.s)
 
 
 @memoize_per_spec

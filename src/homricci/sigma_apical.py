@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curvature import slice_term_system
+from .curvature import singleton_coefficients
 from .solver import (
     OptimizationReport,
     SolverError,
@@ -41,10 +41,10 @@ from .space_model import (
 )
 from .subalgebras import (
     _as_index_set,
-    bracket_reach,
     intermediate_subalgebras,
     is_bracket_closed,
     maximal_within,
+    ordered_entries,
 )
 
 __all__ = [
@@ -169,7 +169,7 @@ def _closed_form(spec: HomogeneousSpaceSpec, i: int, zs: tuple[float, ...]) -> S
     point = spec.d[i - 1] * zs[i - 1]
     return SigmaResult(
         J=J,
-        value=float(slice_term_system(spec, J).coefficients[0]) / point,
+        value=float(singleton_coefficients(spec)[i - 1]) / point,
         attained=True,
         witness=(point,),
         source=SigmaSource.CLOSED_FORM_IRREDUCIBLE,
@@ -200,6 +200,9 @@ class SigmaContext:
     def sigmas(self, Js) -> list[SigmaResult]:
         """sigma of each J, with every slice they need solved in one call."""
         Jsets = [_as_index_set(J) for J in Js]
+        for J in Jsets:
+            if J.indices not in self._memo and not is_bracket_closed(self.spec, J):
+                raise ValueError(f"index set {J} is not bracket-closed")
         _fill([self], Jsets)
         return [self._memo[J.indices] for J in Jsets]
 
@@ -242,7 +245,8 @@ def _sigma_composite(J: SubalgebraIndexSet, report: OptimizationReport, bound: f
 def _fill(contexts: Sequence[SigmaContext], Js: Sequence[SubalgebraIndexSet]) -> None:
     """Store in each context, smallest first, the sigma of every closed set
     inside one of ``Js`` that it does not know yet; the contexts share one
-    spec and one set of solver options.  Singletons alone need no lattice.
+    spec and one set of solver options, and every J is closed.  Singletons
+    alone need no lattice.
 
     A stored sigma is its bound or more, so sigma never decreases along
     inclusion, and a set's bound, the largest sigma stored strictly inside
@@ -252,9 +256,6 @@ def _fill(contexts: Sequence[SigmaContext], Js: Sequence[SubalgebraIndexSet]) ->
     asked = {J.indices: J for J in Js if any(J.indices not in ctx._memo for ctx in contexts)}
     if not asked:
         return
-    for J in asked.values():
-        if not is_bracket_closed(spec, J):
-            raise ValueError(f"index set {J} is not bracket-closed")
     if all(len(J) == 1 for J in asked.values()):
         closed, masks = sorted(asked.values(), key=lambda J: J.sorted), None
     else:  # the lattice holds every closed set but the full one
@@ -297,7 +298,7 @@ def solve_together(contexts: Sequence[SigmaContext]) -> None:
     spec, options = contexts[0].spec, contexts[0].options
     if any(ctx.spec != spec or ctx.options != options for ctx in contexts):
         raise ValueError("contexts solved together must share the spec and the solver options")
-    if not any(map(any, bracket_reach(spec))):
+    if not len(ordered_entries(spec)[0]):
         return  # the verdict is degenerate and solves nothing
     try:
         _fill(contexts, intermediate_subalgebras(spec).maximal)
@@ -328,7 +329,8 @@ def _apical_search(ctx: SigmaContext) -> tuple[SigmaResult, tuple[SigmaResult, .
             "the isotropy algebra is maximal: no proper intermediate subalgebra "
             "exists, and this existence test does not cover that case"
         )
-    maximal_results = ctx.sigmas(lattice.maximal)
+    _fill([ctx], lattice.maximal)
+    maximal_results = [ctx._memo[J.indices] for J in lattice.maximal]
     candidates: list[SigmaResult] = []
     for start in _tied_subset(maximal_results):
         current = start
@@ -357,11 +359,12 @@ def find_T_apical(spec: HomogeneousSpaceSpec, z, options: SolverOptions | None =
 
 def _complement_constant(spec: HomogeneousSpaceSpec, complement: frozenset[int]) -> float:
     linear = sum(spec.d[i - 1] * spec.b[i - 1] for i in sorted(complement))
-    triple = 0.0
-    for (a, b, c), value in spec.triples.ordered_entries:
-        if a in complement and b in complement and c in complement:
-            triple += value
-    return 0.5 * linear - 0.25 * triple
+    a, b, c, values = ordered_entries(spec)
+    outside = np.zeros(spec.s, dtype=bool)
+    outside[[i - 1 for i in complement]] = True
+    # a running sum adds the values in entry order
+    triple = np.cumsum(np.append(0.0, values[outside[a] & outside[b] & outside[c]]))[-1]
+    return 0.5 * linear - 0.25 * float(triple)
 
 
 def _classify(margin: float, rhs: float) -> VerdictStatus:
@@ -404,7 +407,7 @@ def existence_verdict(ctx: SigmaContext) -> ExistenceVerdict:
     """:func:`existence_check` for the spec and tensor of ``ctx``, reusing
     every slice the context has already solved."""
     spec = ctx.spec
-    if not any(map(any, bracket_reach(spec))):  # no bracket reaches anything
+    if not len(ordered_entries(spec)[0]):  # no bracket reaches anything
         return _degenerate_verdict()
     primary, candidates = _apical_search(ctx)
     complement = primary.J.complement(spec.s)

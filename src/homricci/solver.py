@@ -13,7 +13,8 @@ for its own tensor.  Each iteration takes a modified-Newton ascent step
 from the first iteration on: the Lagrangian Hessian is reduced to the
 tangent space of the constraint, its eigenvalues are mirrored to negative
 values with a floor relative to the largest, the step is capped in length,
-and every row backtracks on its own Armijo test.
+and in the same pass every row backtracks on its own Armijo test; when every
+row takes its full step, as most passes do, the pass backtracks nowhere.
 A row that finishes stays frozen in the array, so its arithmetic never
 depends on when the others finished.  A slice's report does not depend on
 its group either: each slice keeps its own terms, padded at the end with
@@ -262,9 +263,9 @@ class _SliceProblem:
         # least-squares multiplier of G = lam * grad h = -lam * normal
         lam = -np.einsum("ij,ij->i", G, u) / size
         weighted = self._by_slice(weights)[:, :, :, None] * self.exponents[:, None]
-        hessian = np.matmul(self._exponents_T[:, None], weighted).reshape(-1, self.k, self.k)
-        diagonal = np.arange(self.k)
-        hessian[:, diagonal, diagonal] -= lam[:, None] * size[:, None] * u
+        hessian = np.matmul(self._exponents_T[:, None], weighted).reshape(-1, self.k * self.k)
+        hessian[:, :: self.k + 1] -= lam[:, None] * size[:, None] * u
+        hessian = hessian.reshape(-1, self.k, self.k)
         # Householder reflection taking u to minus the last axis; its first
         # k - 1 columns are an orthonormal basis of the tangent space
         v = u.copy()
@@ -273,7 +274,9 @@ class _SliceProblem:
             (2.0 / np.einsum("ij,ij->i", v, v))[:, None, None] * v[:, :, None] * v[:, None, : self.k - 1])
         reduced = np.matmul(basis.transpose(0, 2, 1), np.matmul(hessian, basis))
         # -I makes the step below the projected gradient
-        reduced[~(active & np.isfinite(reduced).all(axis=(1, 2)))] = -np.eye(self.k - 1)
+        unusable = ~(active & np.isfinite(reduced).all(axis=(1, 2)))
+        if unusable.any():
+            reduced[unusable] = -np.eye(self.k - 1)
         mu, vectors = np.linalg.eigh(reduced)
         magnitude = np.abs(mu)
         curvature = np.maximum(magnitude, EIGEN_FLOOR * magnitude.max(axis=1, keepdims=True))
@@ -281,7 +284,8 @@ class _SliceProblem:
         coordinates = np.einsum("rk,rkj->rj", G, axes) / np.maximum(curvature, _TINY)
         D = np.einsum("rkj,rj->rk", axes, coordinates)
         fallback = active & ~np.isfinite(D).all(axis=1)
-        D[fallback] = gp[fallback]
+        if fallback.any():
+            D[fallback] = gp[fallback]
         return D * np.minimum(1.0, MAX_LOG_STEP / np.maximum(_row_norms(D), _TINY))[:, None]
 
 
@@ -302,47 +306,16 @@ class _RestartResult:
         return self.outcome == "escaped"
 
 
-def _line_search(problem: _SliceProblem, W, F, G, weights, D, residual, pending):
-    """Backtrack every pending row on its own Armijo test.
-
-    Returns the new (W, F, G, weights), the rows that moved, and the rows
-    whose trial step fell below STEP_TOLERANCE without being accepted.  A
-    trial whose value is not finite is rejected like any other.  The first
-    trial is the capped full step; below NEWTON_GATE it is also accepted
-    when it lowers the projected-gradient norm, because near the maximum f
-    stops changing at rounding level and Armijo alone would stall there.
-    """
-    W, F, G, weights = W.copy(), F.copy(), G.copy(), weights.copy()
-    slope = np.einsum("ij,ij->i", G, D)
-    length = _row_norms(D)
-    alpha = np.ones(len(W))
-    moved = np.zeros(len(W), dtype=bool)
-    exhausted = np.zeros(len(W), dtype=bool)
-    first = True
-    while pending.any():
-        W_try = problem.project(W + alpha[:, None] * D)
-        F_try, G_try, weights_try = problem.evaluate(W_try)
-        finite = pending & np.isfinite(F_try)
-        accept = finite & (F_try >= F + ARMIJO * alpha * slope)
-        if first:
-            first = False
-            gated = finite & (residual < NEWTON_GATE)
-            if gated.any():
-                gp_try = problem.tangent(W_try, G_try)[0]
-                accept |= gated & (_row_norms(gp_try) < 0.9 * residual)
-        W[accept], F[accept], G[accept], weights[accept] = (
-            W_try[accept], F_try[accept], G_try[accept], weights_try[accept])
-        moved |= accept
-        pending = pending & ~accept
-        alpha[pending] *= 0.5
-        stop = pending & (alpha * length < STEP_TOLERANCE)
-        exhausted |= stop
-        pending &= ~stop
-    return W, F, G, weights, moved, exhausted
-
-
 def _run_restarts(problem: _SliceProblem, W0: np.ndarray, max_iterations: int) -> list[_RestartResult]:
     """Advance every restart of every slice together, one row each.
+
+    Each pass takes one ascent step on every active row, and the row
+    backtracks on its own Armijo test.  A trial whose value is not finite is
+    rejected like any other.  The first trial is the capped full step; below
+    NEWTON_GATE it is also accepted when it lowers the projected-gradient
+    norm, because near the maximum f stops changing at rounding level and
+    Armijo alone would stall there.  A row stops when its trial step falls
+    below STEP_TOLERANCE unaccepted, or its accepted step is that short.
 
     A row that finishes stays frozen in place, so the arrays keep their
     shape and a row's arithmetic never depends on when the others finished.
@@ -364,7 +337,7 @@ def _run_restarts(problem: _SliceProblem, W0: np.ndarray, max_iterations: int) -
         iterations = np.full(R, max_iterations)
 
         for iteration in range(1, max_iterations + 1):
-            finished = active & (W.max(axis=1) - W.min(axis=1) > log_escape)
+            finished = active & (np.ptp(W, axis=1) > log_escape)
             escaped |= finished
             gp, u, size = problem.tangent(W, G)
             residual = _row_norms(gp)
@@ -374,14 +347,39 @@ def _run_restarts(problem: _SliceProblem, W0: np.ndarray, max_iterations: int) -
             if not active.any():
                 break
             D = problem.ascent_direction(G, gp, u, size, weights, active)
-            W_new, F, G, weights, moved, exhausted = _line_search(
-                problem, W, F, G, weights, D, residual, active)
-            finished = exhausted | (moved & (_row_norms(W_new - W) < STEP_TOLERANCE))
-            W = W_new
+            slope, length = np.einsum("ij,ij->i", G, D), _row_norms(D)
+            start, alpha, pending, first = W, np.ones(R), active, True
+            moved, exhausted = np.zeros(R, dtype=bool), np.zeros(R, dtype=bool)
+            while pending.any():
+                W_try = problem.project(start + alpha[:, None] * D)
+                F_try, G_try, weights_try = problem.evaluate(W_try)
+                finite = pending & np.isfinite(F_try)
+                accept = finite & (F_try >= F + ARMIJO * alpha * slope)
+                if first:
+                    first = False
+                    gated = finite & (residual < NEWTON_GATE)
+                    if gated.any():
+                        accept |= gated & (_row_norms(problem.tangent(W_try, G_try)[0]) < 0.9 * residual)
+                    if (accept == pending).all():  # the common case: no row backtracks
+                        W, F = np.where(accept[:, None], W_try, W), np.where(accept, F_try, F)
+                        G, weights = (np.where(accept[:, None], G_try, G),
+                                      np.where(accept[:, None], weights_try, weights))
+                        moved = accept
+                        break
+                    W, F, G, weights = W.copy(), F.copy(), G.copy(), weights.copy()
+                W[accept], F[accept], G[accept], weights[accept] = (
+                    W_try[accept], F_try[accept], G_try[accept], weights_try[accept])
+                moved |= accept
+                pending = pending & ~accept
+                alpha[pending] *= 0.5
+                stop = pending & (alpha * length < STEP_TOLERANCE)
+                exhausted |= stop
+                pending &= ~stop
+            finished = exhausted | (moved & (_row_norms(W - start) < STEP_TOLERANCE))
             iterations[finished] = iteration
             active &= ~finished
         else:
-            finished = active & (W.max(axis=1) - W.min(axis=1) > log_escape)
+            finished = active & (np.ptp(W, axis=1) > log_escape)
             escaped |= finished
             active &= ~finished
 

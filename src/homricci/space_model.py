@@ -21,7 +21,6 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -97,21 +96,6 @@ class StructureConstantTable:
 
     def value(self, i: int, j: int, k: int) -> float:
         return self._by_multiset.get(tuple(sorted((i, j, k))), 0.0)
-
-    @cached_property
-    def ordered_entries(self) -> tuple[tuple[tuple[int, int, int], float], ...]:
-        """Every distinct ordered triple carrying a nonzero constant.
-
-        A sorted multiset expands to 1, 3 or 6 orderings depending on its
-        repetitions; the brute-force s^3 loop is kept out of production code.
-        """
-        out = []
-        for multiset, value in self.entries:
-            if value == 0.0:
-                continue
-            for ordered in sorted(set(permutations(multiset))):
-                out.append((ordered, value))
-        return tuple(out)
 
     def nonzero_multisets(self) -> tuple[tuple[tuple[int, int, int], float], ...]:
         return tuple((m, v) for m, v in self.entries if v != 0.0)

@@ -15,6 +15,7 @@ kept until the spec itself is garbage collected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .space_model import HomogeneousSpaceSpec, SubalgebraIndexSet, memoize_per_s
 __all__ = [
     "SubalgebraLattice",
     "bracket_reach",
+    "ordered_entries",
     "is_bracket_closed",
     "intermediate_subalgebras",
     "maximal_within",
@@ -48,14 +50,33 @@ def _as_index_set(J) -> SubalgebraIndexSet:
     return SubalgebraIndexSet.from_iterable(J)
 
 
+# the six orderings of (a, b, c); for a <= b <= c they come out sorted
+_PERMUTATIONS = list(permutations(range(3)))
+
+
+@memoize_per_spec
+def ordered_entries(spec: HomogeneousSpaceSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every distinct ordered triple carrying a nonzero constant, as
+    zero-based index arrays ``a, b, c`` and the ``values``, computed once per
+    spec.  Multisets keep their order in the table and each expands to its
+    1, 3 or 6 orderings in lexicographic order."""
+    nonzero = [(m, v) for m, v in spec.triples.entries if v != 0.0]
+    multisets = np.array([m for m, _ in nonzero], dtype=np.intp).reshape(-1, 3) - 1
+    orderings = multisets[:, _PERMUTATIONS]
+    same = (orderings[:, :, None] == orderings[:, None]).all(axis=3)
+    first = ~np.tril(same, -1).any(axis=2)  # not a repeat of an earlier ordering
+    a, b, c = orderings[first].T
+    return a, b, c, np.repeat([v for _, v in nonzero], first.sum(axis=1))
+
+
 @memoize_per_spec
 def bracket_reach(spec: HomogeneousSpaceSpec) -> tuple[tuple[int, ...], ...]:
     """``reach[a][b]``: the summands c with [abc] != 0 as a mask (bit c-1),
     for the zero-based pair (a, b), computed once per spec."""
-    reach = [[0] * spec.s for _ in range(spec.s)]
-    for (a, b, c), _ in spec.triples.ordered_entries:
-        reach[a - 1][b - 1] |= 1 << (c - 1)
-    return tuple(map(tuple, reach))
+    a, b, c, _ = ordered_entries(spec)
+    reach = np.zeros((spec.s, spec.s), dtype=np.int64)
+    np.bitwise_or.at(reach, (a, b), np.left_shift(1, c))
+    return tuple(map(tuple, reach.tolist()))
 
 
 def is_bracket_closed(spec: HomogeneousSpaceSpec, J) -> bool:

@@ -173,3 +173,72 @@ def random_space_spec(rng: np.random.Generator, max_summands: int = 5,
         b=tuple(b),
         triples=StructureConstantTable.from_items(entries),
     )
+
+
+def slice_term_table(spec: HomogeneousSpaceSpec, J) -> dict[tuple[int, ...], float]:
+    """hatS on the slice J as {exponent: coefficient}, the exponents over the
+    members of J in ascending order, summed term by term from dense loops."""
+    members = sorted(set(int(i) for i in J))
+    complement = [i for i in range(1, spec.s + 1) if i not in members]
+    pos = {i: p for p, i in enumerate(members)}
+    table: dict[tuple[int, ...], float] = {}
+    for i in members:
+        exponent = tuple(-1 if p == pos[i] else 0 for p in range(len(members)))
+        table[exponent] = table.get(exponent, 0.0) + 0.5 * spec.d[i - 1] * spec.b[i - 1]
+        for j in complement:
+            for k in complement:
+                table[exponent] -= 0.5 * spec.constant(i, j, k)
+    for i in members:
+        for j in members:
+            for k in members:
+                if spec.constant(i, j, k) != 0.0:
+                    exponent = [0] * len(members)
+                    exponent[pos[k]] += 1
+                    exponent[pos[i]] -= 1
+                    exponent[pos[j]] -= 1
+                    key = tuple(exponent)
+                    table[key] = table.get(key, 0.0) - 0.25 * spec.constant(i, j, k)
+    return table
+
+
+def complement_constant(spec: HomogeneousSpaceSpec, complement) -> float:
+    """1/2 sum d_i b_i - 1/4 sum [ijk] over the complement, by dense loops."""
+    C = sorted(set(int(i) for i in complement))
+    linear = sum(spec.d[i - 1] * spec.b[i - 1] for i in C)
+    triple = sum(spec.constant(i, j, k) for i in C for j in C for k in C)
+    return 0.5 * linear - 0.25 * triple
+
+
+def reach_table(spec: HomogeneousSpaceSpec) -> tuple[tuple[int, ...], ...]:
+    """``table[a][b]`` for zero-based a, b: the mask (bit c-1) of every c with
+    [abc] != 0."""
+    s = spec.s
+    return tuple(
+        tuple(sum(1 << (c - 1) for c in range(1, s + 1) if spec.constant(a, b, c) != 0.0)
+              for b in range(1, s + 1))
+        for a in range(1, s + 1)
+    )
+
+
+def zeroed_variant(spec: HomogeneousSpaceSpec, rng: np.random.Generator) -> HomogeneousSpaceSpec:
+    """``spec`` with every b_i = 0 and about a fifth of its constants stored
+    as exact zeros."""
+    entries = {m: (0.0 if rng.random() < 0.2 else v) for m, v in spec.triples.entries}
+    return HomogeneousSpaceSpec(name=f"{spec.name}_zeroed", d=spec.d, b=(0.0,) * spec.s,
+                                triples=StructureConstantTable.from_items(entries))
+
+
+# (summands, density) of the draws below: lattices of at most a few hundred
+# sets up to s = 16
+_DRAWS = ((3, 0.3), (4, 0.3), (5, 0.3), (6, 0.2), (8, 0.15), (10, 0.1),
+          (12, 0.07), (14, 0.06), (16, 0.05), (16, 0.045))
+
+
+def seeded_draws(seed: int):
+    """Seeded ``random_space_spec`` draws up to s = 16, each followed by its
+    :func:`zeroed_variant`; the draws include repeated-index multisets."""
+    rng = np.random.default_rng(seed)
+    for s, density in _DRAWS:
+        spec = random_space_spec(rng, summands=s, density=density)
+        yield spec
+        yield zeroed_variant(spec, rng)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,11 @@ from homricci.curvature import (
     ricci_coefficients,
     scalar_curvature,
     scalar_gradient,
+    singleton_coefficients,
+    slice_term_system,
 )
 from homricci.space_model import load_space_spec
+from homricci.subalgebras import intermediate_subalgebras
 
 from oracles import (
     brute_force_hat_curvature,
@@ -16,6 +21,8 @@ from oracles import (
     brute_force_scalar_curvature,
     central_difference_gradient,
     random_space_spec,
+    seeded_draws,
+    slice_term_table,
 )
 
 
@@ -184,3 +191,27 @@ def test_ricci_trace_identity_f4(f4):
     trace = sum(f4.d[i] * ricci.r[i] for i in range(4))
     S = scalar_curvature(f4, x)
     assert abs(trace - S) < 1e-10 * max(1.0, abs(S))
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_slice_term_tables_match_oracle(seed):
+    # every closed set and the full set of each draw: the same exponents in
+    # the same order, and coefficients within 1e-12 of the largest sum a
+    # coefficient can collect
+    checked = 0
+    for spec in seeded_draws(seed):
+        constants = [v for _, v in spec.triples.entries]
+        scale = max(d * b for d, b in zip(spec.d, spec.b)) + spec.s ** 2 * max(constants, default=0.0)
+        sets = [J.sorted for J in intermediate_subalgebras(spec).all_proper] + [tuple(spec.summand_indices())]
+        for J in sets:
+            system, table = slice_term_system(spec, J), slice_term_table(spec, J)
+            exponents = sorted(table)
+            assert np.array_equal(system.exponents, np.array(exponents, dtype=float))
+            for coefficient, exponent in zip(system.coefficients.tolist(), exponents):
+                assert math.isclose(coefficient, table[exponent], rel_tol=1e-12, abs_tol=1e-12 * max(1.0, scale))
+            checked += 1
+        # the per-spec singleton vector holds the compiled coefficients bit
+        # for bit, signed zeros included, closed summand or not
+        for i in spec.summand_indices():
+            assert singleton_coefficients(spec)[i - 1:i].tobytes() == slice_term_system(spec, (i,)).coefficients.tobytes()
+    assert checked > 300

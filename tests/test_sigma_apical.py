@@ -15,6 +15,7 @@ from homricci.sigma_apical import (
     sigma,
     sigma_irreducible,
     wallach_existence_check,
+    _complement_constant,
     _sigma_composite,
 )
 from homricci.solver import OptimizationReport, SolverError
@@ -24,11 +25,13 @@ from homricci.subalgebras import intermediate_subalgebras, maximal_within
 from oracles import (
     all_closed_subsets,
     brute_force_hat_curvature,
+    complement_constant,
     golden_section_max,
     psi_peak_location,
     psi_peak_value,
     psi_slice_value,
     random_space_spec,
+    seeded_draws,
 )
 
 
@@ -277,6 +280,44 @@ def test_singleton_sigma_needs_no_lattice():
     assert SigmaContext(spec, z).sigmas([(7,), (5,)]) == [sigma_irreducible(spec, i, z) for i in (7, 5)]
     with pytest.raises(ValueError, match="at most 16 summands"):
         sigma(spec, (4, 5), z)
+
+
+def test_sets_read_from_the_lattice_are_not_tested_again(g2, f4, monkeypatch):
+    # closure is tested where a caller passes sets in, not in the fill that
+    # the existence test and the sweep run on lattice members
+    import homricci.sigma_apical as module
+
+    calls = []
+    monkeypatch.setattr(module, "is_bracket_closed", lambda spec, J: calls.append(J) or True)
+    for spec in (g2, f4):
+        existence_check(spec, (1.0,) * spec.s)
+    assert calls == []
+    SigmaContext(f4, (1, 1, 1, 1)).sigmas([(4,), (2, 4)])
+    assert [J.sorted for J in calls] == [(4,), (2, 4)]
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_complement_constant_matches_oracle(seed):
+    # the complement of every closed set of each draw, and the verdict's rhs
+    # on the draws small enough to check quickly
+    verdicts = 0
+    for spec in seeded_draws(seed):
+        constants = [v for _, v in spec.triples.entries]
+        tol = 1e-12 * max(1.0, sum(d * b for d, b in zip(spec.d, spec.b)) + spec.s ** 3 * max(constants, default=0.0))
+        for J in intermediate_subalgebras(spec).all_proper:
+            complement = J.complement(spec.s)
+            assert math.isclose(_complement_constant(spec, complement), complement_constant(spec, complement),
+                                rel_tol=1e-12, abs_tol=tol)
+        if spec.s <= 8:
+            try:
+                verdict = existence_check(spec, (1.0,) * spec.s)
+            except (NoProperSubalgebraError, SolverError):
+                continue
+            if verdict.status is not VerdictStatus.DEGENERATE_CONSTANT_RICCI:
+                expected = complement_constant(spec, verdict.apical.complement(spec.s))
+                assert math.isclose(verdict.rhs, expected, rel_tol=1e-12, abs_tol=tol)
+                verdicts += 1
+    assert verdicts >= 5
 
 
 # ---------------------------------------------------------------------------

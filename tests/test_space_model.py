@@ -18,6 +18,7 @@ from homricci.space_model import (
     trace_Q_restricted,
     wallach_space,
 )
+from homricci.subalgebras import ordered_entries
 
 
 def test_builtin_names():
@@ -60,9 +61,13 @@ def test_lookup_permutation_invariant(f4):
 
 def test_ordered_entries_multiplicity(g2):
     # one multiset with a repeat (3 orderings) and one with none (6 orderings)
-    ordered = g2.triples.ordered_entries
-    assert len(ordered) == 3 + 6
-    assert len(set(t for t, _ in ordered)) == 9
+    a, b, c, values = ordered_entries(g2)
+    triples = list(zip((a + 1).tolist(), (b + 1).tolist(), (c + 1).tolist()))
+    assert len(triples) == 3 + 6
+    assert len(set(triples)) == 9
+    assert triples[:3] == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
+    assert triples[3:] == sorted(permutations((1, 2, 3)))
+    assert values.tolist() == [2 / 3] * 3 + [0.5] * 6
 
 
 def test_load_rational_strings():

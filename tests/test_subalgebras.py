@@ -15,12 +15,20 @@ from homricci.space_model import (
     wallach_space,
 )
 from homricci.subalgebras import (
+    bracket_reach,
     intermediate_subalgebras,
     is_bracket_closed,
     maximal_within,
 )
 
-from oracles import all_closed_subsets, is_closed_subset, maximal_closed_within, random_space_spec
+from oracles import (
+    all_closed_subsets,
+    is_closed_subset,
+    maximal_closed_within,
+    random_space_spec,
+    reach_table,
+    seeded_draws,
+)
 
 
 def _sets(items):
@@ -206,6 +214,12 @@ def test_repeated_index_multisets_close_like_the_oracle():
     assert frozenset({1}) not in _sets(lattice.all_proper)
     assert frozenset({3}) not in _sets(lattice.all_proper)
     assert frozenset({4}) in _sets(lattice.all_proper)
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_bracket_reach_matches_oracle(seed):
+    for spec in seeded_draws(seed):
+        assert bracket_reach(spec) == reach_table(spec)
 
 
 # ---------------------------------------------------------------------------
