@@ -278,7 +278,7 @@ def _cmd_sigma(args) -> int:
     z = _parse_tensor(args.T, spec.s)
     ctx = SigmaContext(spec, z, _solver_options(args))
     lattice = intermediate_subalgebras(spec)
-    rows = ctx.sigmas(lattice.all_proper)
+    rows = ctx.closed_sigmas(lattice.all_proper)
     if args.format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")

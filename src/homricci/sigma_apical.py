@@ -203,8 +203,13 @@ class SigmaContext:
         for J in Jsets:
             if J.indices not in self._memo and not is_bracket_closed(self.spec, J):
                 raise ValueError(f"index set {J} is not bracket-closed")
-        _fill([self], Jsets)
-        return [self._memo[J.indices] for J in Jsets]
+        return self.closed_sigmas(Jsets)
+
+    def closed_sigmas(self, Js: Sequence[SubalgebraIndexSet]) -> list[SigmaResult]:
+        """:meth:`sigmas` of sets known to be bracket-closed, such as lattice
+        members, without testing their closure again."""
+        _fill([self], Js)
+        return [self._memo[J.indices] for J in Js]
 
 
 def _sigma_composite(J: SubalgebraIndexSet, report: OptimizationReport, bound: float | None) -> SigmaResult:
@@ -329,8 +334,7 @@ def _apical_search(ctx: SigmaContext) -> tuple[SigmaResult, tuple[SigmaResult, .
             "the isotropy algebra is maximal: no proper intermediate subalgebra "
             "exists, and this existence test does not cover that case"
         )
-    _fill([ctx], lattice.maximal)
-    maximal_results = [ctx._memo[J.indices] for J in lattice.maximal]
+    maximal_results = ctx.closed_sigmas(lattice.maximal)
     candidates: list[SigmaResult] = []
     for start in _tied_subset(maximal_results):
         current = start

@@ -360,15 +360,9 @@ def _run_restarts(problem: _SliceProblem, W0: np.ndarray, max_iterations: int) -
                     gated = finite & (residual < NEWTON_GATE)
                     if gated.any():
                         accept |= gated & (_row_norms(problem.tangent(W_try, G_try)[0]) < 0.9 * residual)
-                    if (accept == pending).all():  # the common case: no row backtracks
-                        W, F = np.where(accept[:, None], W_try, W), np.where(accept, F_try, F)
-                        G, weights = (np.where(accept[:, None], G_try, G),
-                                      np.where(accept[:, None], weights_try, weights))
-                        moved = accept
-                        break
-                    W, F, G, weights = W.copy(), F.copy(), G.copy(), weights.copy()
-                W[accept], F[accept], G[accept], weights[accept] = (
-                    W_try[accept], F_try[accept], G_try[accept], weights_try[accept])
+                rows = accept[:, None]
+                W, F = np.where(rows, W_try, W), np.where(accept, F_try, F)
+                G, weights = np.where(rows, G_try, G), np.where(rows, weights_try, weights)
                 moved |= accept
                 pending = pending & ~accept
                 alpha[pending] *= 0.5

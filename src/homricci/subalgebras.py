@@ -60,7 +60,7 @@ def ordered_entries(spec: HomogeneousSpaceSpec) -> tuple[np.ndarray, np.ndarray,
     zero-based index arrays ``a, b, c`` and the ``values``, computed once per
     spec.  Multisets keep their order in the table and each expands to its
     1, 3 or 6 orderings in lexicographic order."""
-    nonzero = [(m, v) for m, v in spec.triples.entries if v != 0.0]
+    nonzero = spec.triples.nonzero_multisets()
     multisets = np.array([m for m, _ in nonzero], dtype=np.intp).reshape(-1, 3) - 1
     orderings = multisets[:, _PERMUTATIONS]
     same = (orderings[:, :, None] == orderings[:, None]).all(axis=3)

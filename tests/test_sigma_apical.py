@@ -284,13 +284,15 @@ def test_singleton_sigma_needs_no_lattice():
 
 def test_sets_read_from_the_lattice_are_not_tested_again(g2, f4, monkeypatch):
     # closure is tested where a caller passes sets in, not in the fill that
-    # the existence test and the sweep run on lattice members
+    # the existence test, the sweep and the sigma command run on lattice members
     import homricci.sigma_apical as module
+    from homricci.cli import run
 
     calls = []
     monkeypatch.setattr(module, "is_bracket_closed", lambda spec, J: calls.append(J) or True)
     for spec in (g2, f4):
         existence_check(spec, (1.0,) * spec.s)
+    assert run(["sigma", "--builtin", "F4_SU3xSU2xU1", "--T", "1,1,1,1"]) == 0
     assert calls == []
     SigmaContext(f4, (1, 1, 1, 1)).sigmas([(4,), (2, 4)])
     assert [J.sorted for J in calls] == [(4,), (2, 4)]
