@@ -10,34 +10,20 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from itertools import product
-
-import numpy as np
 
 from .curvature import scalar_curvature
-from .sigma_apical import (
-    SigmaContext,
-    existence_check,
-    existence_verdict,
-    solve_together,
-)
+from .sigma_apical import SigmaContext, existence_check
 from .solver import (
-    OptimizationReport,
     SolverError,
     SolverOptions,
-    VerificationResult,
+    fit_prescribed_ricci,
     maximize_S_on_MT,
-    polish_prescribed_ricci,
-    verify_prescribed_ricci,
+    verify_prescribed_ricci,  # noqa: F401  (bench/trace.py patches it by name)
 )
 from .space_model import (
     HomogeneousSpaceSpec,
-    SpecError,
     builtin_names,
     builtin_space,
     coefficients_array,
@@ -46,14 +32,11 @@ from .space_model import (
     space_spec_to_document,
 )
 from .subalgebras import intermediate_subalgebras
+from .sweep import _fmt, grid_points, sweep
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_NUMERICAL_FAILURE = 3
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
 
 
 def _parse_tensor(text: str, s: int) -> tuple[float, ...]:
@@ -75,6 +58,10 @@ def _emit_json(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
+def _emit_csv(rows: list[list[str]]) -> None:
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+
+
 def _add_space_arguments(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--builtin", metavar="NAME", help="catalogued space name")
@@ -84,169 +71,6 @@ def _add_space_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="restart grid seed (default 0)")
     parser.add_argument("--restarts", type=int, default=16, help="optimizer restarts (default 16)")
-
-
-# ---------------------------------------------------------------------------
-# sweep grid
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SweepAxis:
-    index: int          # 1-based tensor coordinate
-    minimum: float
-    maximum: float
-    steps: int
-
-    def values(self) -> np.ndarray:
-        return np.linspace(self.minimum, self.maximum, self.steps)
-
-
-@dataclass(frozen=True)
-class SweepGrid:
-    axes: tuple[SweepAxis, ...]
-    base: tuple[float, ...]
-    normalize: bool = False
-
-    def points(self) -> list[tuple[float, ...]]:
-        grids = [axis.values() for axis in self.axes]
-        out = []
-        for combo in product(*grids):
-            z = list(self.base)
-            for axis, value in zip(self.axes, combo):
-                z[axis.index - 1] = float(value)
-            out.append(tuple(z))
-        return out
-
-
-def parse_grid_axis(text: str, s: int) -> SweepAxis:
-    """Parse an axis description ``i=min:max:steps``."""
-    try:
-        index_part, range_part = text.split("=", 1)
-        lo, hi, steps = range_part.split(":")
-    except ValueError:
-        raise SpecError(f"grid axis {text!r} must look like i=min:max:steps", "--grid") from None
-    try:
-        index = int(index_part)
-        n = int(steps)
-    except ValueError:
-        raise SpecError(f"grid axis {text!r}: index and steps must be integers", "--grid") from None
-    minimum = parse_number(lo, "--grid")
-    maximum = parse_number(hi, "--grid")
-    if not 1 <= index <= s:
-        raise SpecError(f"grid axis index {index} out of range 1..{s}", "--grid")
-    if minimum <= 0:
-        raise SpecError("grid minimum must be positive", "--grid")
-    if n < 1:
-        raise SpecError("grid steps must be >= 1", "--grid")
-    return SweepAxis(index=index, minimum=minimum, maximum=maximum, steps=n)
-
-
-def build_sweep_grid(axis_texts: list[str], base: tuple[float, ...], s: int,
-                     normalize: bool) -> SweepGrid:
-    axes = [parse_grid_axis(text, s) for text in axis_texts]
-    if not axes:
-        raise SpecError("at least one --grid axis is required", "--grid")
-    if len(axes) > 2:
-        raise SpecError("at most 2 free axes per sweep", "--grid")
-    if len({axis.index for axis in axes}) != len(axes):
-        raise SpecError("grid axes must use distinct coordinates", "--grid")
-    return SweepGrid(axes=tuple(axes), base=base, normalize=normalize)
-
-
-def _solve(spec: HomogeneousSpaceSpec, z: tuple[float, ...], options: SolverOptions
-           ) -> tuple[OptimizationReport, tuple[float, ...], VerificationResult | None, str]:
-    """The maximiser of S on the unit-trace metrics and its Ricci fit,
-    Newton-polished when the fit misses.  The last item is empty when the
-    metric returned is a verified solution, and otherwise says why there is
-    none; the metric and the fit are then not to be printed."""
-    report = maximize_S_on_MT(spec, z, options)
-    if not report.converged:
-        return report, report.argmax, None, f"solver did not converge: {report.diagnostics}"
-    verification = verify_prescribed_ricci(spec, report.argmax, z)
-    if verification.verified:
-        return report, report.argmax, verification, ""
-    x, polished = polish_prescribed_ricci(spec, report.argmax, z)
-    if polished.verified:
-        return report, x, polished, ""
-    return report, x, polished, (
-        f"solver did not converge: the Ricci fit at the maximiser has residual "
-        f"{verification.residual:.4g}, and {polished.residual:.4g} after Newton polish")
-
-
-def _scaled(spec: HomogeneousSpaceSpec, z: tuple[float, ...], normalize: bool) -> tuple[float, ...]:
-    if not normalize:
-        return z
-    total = sum(spec.d[i] * z[i] for i in range(spec.s))
-    return tuple(v / total for v in z)
-
-
-def _context(spec: HomogeneousSpaceSpec, z: tuple[float, ...], options: SolverOptions) -> SigmaContext | None:
-    """The point's context, or None for a tensor its own row rejects."""
-    try:
-        return SigmaContext(spec, z, options)
-    except ValueError:
-        return None
-
-
-def _sweep_point(spec: HomogeneousSpaceSpec, z: tuple[float, ...], ctx: SigmaContext | None,
-                 options: SolverOptions, solve: bool) -> tuple[list[str], str]:
-    """One CSV record and its note; without a context, building it again
-    raises the error the row reports."""
-    cells = ["", "", "", ""] + (["", ""] if solve else [])
-    note = ""
-    try:
-        verdict = existence_verdict(ctx or SigmaContext(spec, z, options))
-        cells[0] = verdict.status.value
-        if verdict.apical is not None:
-            cells[1:4] = ["+".join(str(i) for i in verdict.apical.sorted), _fmt(verdict.sigma.value),
-                          _fmt(verdict.margin)]
-        if solve:
-            _, _, verification, note = _solve(spec, z, options)
-            if not note:
-                cells[4:] = [_fmt(verification.c), _fmt(verification.residual)]
-    except (SolverError, ValueError) as exc:
-        cells = ["error"] + [""] * (len(cells) - 1)
-        note = f"{exc}"
-    return [_fmt(v) for v in z] + cells, note
-
-
-def emit_sweep(spec: HomogeneousSpaceSpec, grid: SweepGrid, options: SolverOptions,
-               solve: bool = False, workers: int = 1) -> tuple[str, list[str]]:
-    """Render the sweep as CSV text; returns (csv, diagnostic notes).
-
-    The sigma tables of every grid point are filled together with one slice
-    solve; then each point reads its verdict, and with ``solve`` runs its
-    own full-slice solve, on ``workers`` threads.  Rows are emitted in
-    row-major grid order and are identical for any worker count: every
-    sigma is the one the point would compute alone, and the pool only
-    changes scheduling.
-    """
-    points = [_scaled(spec, z, grid.normalize) for z in grid.points()]
-    contexts = [_context(spec, z, options) for z in points]
-    solve_together([ctx for ctx in contexts if ctx is not None])
-
-    def evaluate(n: int) -> tuple[list[str], str]:
-        return _sweep_point(spec, points[n], contexts[n], options, solve)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(evaluate, range(len(points))))
-    else:
-        rows = [evaluate(n) for n in range(len(points))]
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    header = [f"z{i}" for i in range(1, spec.s + 1)] + ["status", "apical", "sigma", "margin"]
-    if solve:
-        header += ["c", "residual"]
-    writer.writerow(header)
-    notes = []
-    for record, note in rows:
-        writer.writerow(record)
-        if note:
-            notes.append(f"z={','.join(record[:spec.s])}: {note}")
-    return buffer.getvalue(), notes
 
 
 # ---------------------------------------------------------------------------
@@ -280,18 +104,13 @@ def _cmd_sigma(args) -> int:
     lattice = intermediate_subalgebras(spec)
     rows = ctx.closed_sigmas(lattice.all_proper)
     if args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["J", "sigma", "attained", "witness", "source"])
-        for row in rows:
-            writer.writerow([
-                "+".join(str(i) for i in row.J.sorted),
-                _fmt(row.value),
-                str(row.attained).lower(),
-                "" if row.witness is None else "+".join(_fmt(v) for v in row.witness),
-                row.source.value,
-            ])
-        sys.stdout.write(buffer.getvalue())
+        _emit_csv([["J", "sigma", "attained", "witness", "source"]] + [[
+            "+".join(str(i) for i in row.J.sorted),
+            _fmt(row.value),
+            str(row.attained).lower(),
+            "" if row.witness is None else "+".join(_fmt(v) for v in row.witness),
+            row.source.value,
+        ] for row in rows])
     else:
         _emit_json({"space": spec.name, "T": list(z), "rows": [r.as_dict() for r in rows]})
     return EXIT_OK
@@ -300,7 +119,8 @@ def _cmd_sigma(args) -> int:
 def _cmd_solve(args) -> int:
     spec = _load_spec(args)
     z = _parse_tensor(args.T, spec.s)
-    report, x, verification, problem = _solve(spec, z, _solver_options(args))
+    report = maximize_S_on_MT(spec, z, _solver_options(args))
+    x, verification, problem = fit_prescribed_ricci(spec, report, z)
     if problem:
         print(problem, file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
@@ -323,15 +143,12 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = _load_spec(args)
-    base = _parse_tensor(args.T, spec.s)
-    grid = build_sweep_grid(args.grid, base, spec.s, args.normalize)
-    text, notes = emit_sweep(spec, grid, _solver_options(args), solve=args.solve,
-                             workers=args.workers)
+    points = grid_points(spec, args.grid, _parse_tensor(args.T, spec.s), args.normalize)
+    header, rows, notes = sweep(spec, points, _solver_options(args), solve=args.solve)
     if args.format == "json":
-        reader = csv.DictReader(io.StringIO(text))
-        _emit_json({"space": spec.name, "rows": list(reader)})
+        _emit_json({"space": spec.name, "rows": [dict(zip(header, row)) for row in rows]})
     else:
-        sys.stdout.write(text)
+        _emit_csv([header] + rows)
     for note in notes:
         print(note, file=sys.stderr)
     return EXIT_OK
@@ -376,7 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="rescale every point to unit weighted sum")
     p_sweep.add_argument("--solve", action="store_true",
                          help="also solve for the maximizer at every point")
-    p_sweep.add_argument("--workers", type=int, default=1, help="worker threads (default 1)")
+    p_sweep.add_argument("--workers", type=int, default=1,
+                         help="ignored: every sweep solves its points in one batch")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_solver_arguments(p_sweep)
 

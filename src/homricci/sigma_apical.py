@@ -185,7 +185,7 @@ class SigmaContext:
     it, already stored.  Their slices are solved in one
     :func:`maximize_hatS_on_slices` call; :func:`solve_together` fills the
     existence tests of several contexts with one such call.  Not safe to
-    share across threads; each worker should hold its own.
+    share across threads.
     """
 
     def __init__(self, spec: HomogeneousSpaceSpec, z, options: SolverOptions | None = None):

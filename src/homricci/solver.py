@@ -61,6 +61,7 @@ __all__ = [
     "maximize_S_on_MT",
     "verify_prescribed_ricci",
     "polish_prescribed_ricci",
+    "fit_prescribed_ricci",
     "escape_curve_S",
 ]
 
@@ -93,6 +94,10 @@ class SolverOptions:
     max_iterations: int = 10_000
 
     def __post_init__(self):
+        # the restart grid starts at Halton index seed * restarts + 1, and
+        # every index below 1 is the same corner
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.max_iterations < 1:
@@ -596,6 +601,26 @@ def polish_prescribed_ricci(spec: HomogeneousSpaceSpec, x, z) -> tuple[tuple[flo
             if fit.residual < best.residual:
                 best_x, best = tuple(candidate.tolist()), fit
     return best_x, best
+
+
+def fit_prescribed_ricci(spec: HomogeneousSpaceSpec, report: OptimizationReport, z
+                         ) -> tuple[tuple[float, ...], VerificationResult | None, str]:
+    """The metric that ``report``, a maximisation of S for the tensor z,
+    offers as a solution of Ric = c T, and its Ricci fit, Newton-polished
+    when the fit at the maximiser misses.  The last item is empty when the
+    metric is a verified solution, and otherwise says why there is none; the
+    metric and the fit are then not to be printed."""
+    if not report.converged:
+        return report.argmax, None, f"solver did not converge: {report.diagnostics}"
+    verification = verify_prescribed_ricci(spec, report.argmax, z)
+    if verification.verified:
+        return report.argmax, verification, ""
+    x, polished = polish_prescribed_ricci(spec, report.argmax, z)
+    if polished.verified:
+        return x, polished, ""
+    return x, polished, (
+        f"solver did not converge: the Ricci fit at the maximiser has residual "
+        f"{verification.residual:.4g}, and {polished.residual:.4g} after Newton polish")
 
 
 def escape_curve_S(spec: HomogeneousSpaceSpec, J, y, z, t: float) -> float:

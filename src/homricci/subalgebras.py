@@ -161,13 +161,17 @@ def intermediate_subalgebras(spec: HomogeneousSpaceSpec) -> SubalgebraLattice:
 def maximal_within(spec: HomogeneousSpaceSpec, J) -> list[SubalgebraIndexSet]:
     """Bracket-closed proper non-empty subsets of J, maximal under inclusion.
 
-    Closure is tested against the full constant table; since J itself is
-    closed this is equivalent to requiring brackets not to leak into J minus
-    the subset.  The subsets are read off the spec's lattice.
+    The subsets are read off the spec's lattice, and the same scan decides
+    that J is closed: J is the full set or a lattice member.
     """
-    Jset = _as_index_set(J)
-    if not is_bracket_closed(spec, Jset):
+    Jset = SubalgebraIndexSet.from_iterable(resolve_indices(spec, J))
+    closed = Jset.mask == (1 << spec.s) - 1
+    inside = []
+    for K in intermediate_subalgebras(spec).all_proper:
+        if K.mask == Jset.mask:
+            closed = True
+        elif K.mask & Jset.mask == K.mask:
+            inside.append(K)
+    if not closed:
         raise ValueError(f"index set {Jset} is not bracket-closed")
-    inside = [K for K in intermediate_subalgebras(spec).all_proper
-              if K.mask & Jset.mask == K.mask and K.mask != Jset.mask]
     return _maximal(inside)

@@ -28,7 +28,7 @@ from homricci.sigma_apical import (
 from homricci.solver import SolverOptions, escape_curve_S, maximize_S_on_MT, maximize_hatS_on_slice, verify_prescribed_ricci
 from homricci.space_model import wallach_space
 from homricci.subalgebras import intermediate_subalgebras
-from homricci.cli import SweepGrid, SweepAxis, emit_sweep
+from homricci.sweep import grid_points, sweep
 
 from oracles import (
     brute_force_ricci,
@@ -321,17 +321,13 @@ def test_criterion_6_analytic_identities(g2, f4, e6):
 
 def test_criterion_7_determinism(capsys, f4, g2):
     def body():
-        grid = SweepGrid(
-            axes=(SweepAxis(index=1, minimum=0.5, maximum=1.6, steps=4),
-                  SweepAxis(index=2, minimum=0.8, maximum=1.9, steps=3)),
-            base=(1.0, 1.0, 1.0, 1.0),
-        )
+        points = grid_points(f4, ["1=0.5:1.6:4", "2=0.8:1.9:3"], (1.0, 1.0, 1.0, 1.0))
         outputs = set()
-        for workers in (1, 4, 1):
-            text, notes = emit_sweep(f4, grid, SolverOptions(), workers=workers)
+        for _ in range(3):
+            header, rows, notes = sweep(f4, points, SolverOptions())
             assert not notes
-            outputs.add(text)
-        assert len(outputs) == 1, "sweep output depends on the worker count or the run"
+            outputs.add(repr((header, rows)))
+        assert len(outputs) == 1, "sweep output depends on the run"
 
         # repeated runs of every numerical stage reproduce bit-identical reports
         first = maximize_S_on_MT(g2, (1, 1, 1), SolverOptions(seed=0))

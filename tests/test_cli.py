@@ -9,11 +9,10 @@ from homricci.cli import (
     EXIT_INVALID_INPUT,
     EXIT_NUMERICAL_FAILURE,
     EXIT_OK,
-    build_sweep_grid,
-    parse_grid_axis,
     run,
 )
 from homricci.space_model import SpecError, load_space_spec
+from homricci.sweep import grid_points, parse_grid_axis
 
 DATA = Path(__file__).parent / "data"
 
@@ -269,9 +268,8 @@ def test_solve_more_than_16_summands_is_exit_2(capsys, tmp_path):
 
 
 def test_grid_axis_parsing():
-    axis = parse_grid_axis("1=0.5:2:4", 3)
-    assert (axis.index, axis.minimum, axis.maximum, axis.steps) == (1, 0.5, 2.0, 4)
-    assert parse_grid_axis("2=1/2:3/2:5", 3).minimum == 0.5
+    assert parse_grid_axis("1=0.5:2:4", 3) == (1, 0.5, 2.0, 4)
+    assert parse_grid_axis("2=1/2:3/2:5", 3)[1] == 0.5
     with pytest.raises(SpecError):
         parse_grid_axis("1=0:2:4", 3)       # min not positive
     with pytest.raises(SpecError):
@@ -282,11 +280,11 @@ def test_grid_axis_parsing():
         parse_grid_axis("1=1:2", 3)         # malformed
 
 
-def test_grid_at_most_two_axes():
+def test_grid_at_most_two_axes(g2):
     with pytest.raises(SpecError, match="at most 2"):
-        build_sweep_grid(["1=1:2:2", "2=1:2:2", "3=1:2:2"], (1, 1, 1), 3, False)
+        grid_points(g2, ["1=1:2:2", "2=1:2:2", "3=1:2:2"], (1, 1, 1))
     with pytest.raises(SpecError, match="distinct"):
-        build_sweep_grid(["1=1:2:2", "1=1:2:2"], (1, 1, 1), 3, False)
+        grid_points(g2, ["1=1:2:2", "1=1:2:2"], (1, 1, 1))
 
 
 def test_sweep_row_major_order(capsys):
@@ -359,6 +357,15 @@ def test_solve_seed_and_restart_flags(capsys):
     assert json.loads(out)["verified"]
 
 
+@pytest.mark.parametrize("command", ["check", "solve", "sweep"])
+def test_negative_seed_is_exit_2(capsys, command):
+    extra = ("--grid", "1=1:2:2") if command == "sweep" else ()
+    code, out, err = invoke(capsys, command, "--builtin", "G2_U2_long", "--T", "1,1,1", "--seed", "-1", *extra)
+    assert code == EXIT_INVALID_INPUT
+    assert out == ""
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
 def test_sweep_workers_bitwise_identical(capsys):
     args = ("sweep", "--builtin", "F4_SU3xSU2xU1", "--T", "1,1,1,1",
             "--grid", "1=0.5:1.5:3", "--grid", "2=0.8:1.2:2")
@@ -404,24 +411,37 @@ def test_sweep_error_rows_do_not_abort(capsys, tmp_path):
 
 
 def test_sweep_solve_errors_become_error_rows(capsys, monkeypatch):
-    import homricci.cli as cli
+    # the full slices of all points are solved in one call; when it fails,
+    # each point solves alone, and only the point that fails alone too
+    # becomes an error row
+    import homricci.sweep as sweep
     from homricci.solver import SolverError
 
-    real = cli.maximize_S_on_MT
+    args = ("sweep", "--builtin", "G2_U2_long", "--T", "1,1,1", "--grid", "1=1:3:3", "--solve")
+    _, healthy, healthy_err = invoke(capsys, *args)
+    real_batch, real_alone = sweep.maximize_hatS_on_slices, sweep.maximize_S_on_MT
 
-    def failing(spec, z, options=None):
+    def failing_batch(spec, Js, zs, options=None):
+        if any(z[0] == 2.0 for z in zs):
+            raise SolverError("injected failure")
+        return real_batch(spec, Js, zs, options)
+
+    def failing_alone(spec, z, options=None):
         if z[0] == 2.0:
             raise SolverError("injected failure")
-        return real(spec, z, options)
+        return real_alone(spec, z, options)
 
-    monkeypatch.setattr(cli, "maximize_S_on_MT", failing)
-    code, out, err = invoke(capsys, "sweep", "--builtin", "G2_U2_long", "--T", "1,1,1",
-                            "--grid", "1=1:3:3", "--solve")
+    monkeypatch.setattr(sweep, "maximize_hatS_on_slices", failing_batch)
+    assert invoke(capsys, *args) == (EXIT_OK, healthy, healthy_err)
+    monkeypatch.setattr(sweep, "maximize_S_on_MT", failing_alone)
+    code, out, err = invoke(capsys, *args)
     assert code == EXIT_OK
-    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    lines, expected = out.splitlines(), healthy.splitlines()
+    assert [lines[0], lines[1], lines[3]] == [expected[0], expected[1], expected[3]]
+    rows = [line.split(",") for line in lines[1:]]
     assert [row[3] == "error" for row in rows] == [False, True, False]
     assert rows[1][4:] == ["", "", "", "", ""]
-    assert "injected failure" in err
+    assert "z=2,1,1: injected failure" in err
 
 
 def test_sweep_failed_slice_gives_one_error_row(capsys, monkeypatch):
@@ -500,6 +520,27 @@ def test_sweep_rows_match_single_checks(capsys, tmp_path):
         assert row[8:] == [verdict["status"], "+".join(map(str, verdict["apical"])),
                            "%.17g" % verdict["sigma"]["value"], "%.17g" % verdict["margin"]]
     assert len(pivots) > 1
+
+    # with --solve the maximisers of all points come from one call too; each
+    # row's fit is, bit for bit, what solve prints at that point alone
+    fitted = 0
+    for space, T, grid in ((("--space", str(path)), "1,1,1,1,1,1,1,1", ("--grid", "7=0.1:5:4", "--normalize")),
+                           (("--builtin", "F4_SU3xSU2xU1"), "1,1,1,1", ("--grid", "1=0.15:1.75:5")),
+                           (("--builtin", "G2_U2_long"), "0.9770,0.9243,0.8635", ("--grid", "1=0.977:1.2:2"))):
+        code, out, err = invoke(capsys, "sweep", *space, "--T", T, *grid, "--solve")
+        assert code == EXIT_OK
+        notes = dict(line.split(": ", 1) for line in err.splitlines())
+        for row in (line.split(",") for line in out.strip().splitlines()[1:]):
+            z = ",".join(row[:len(T.split(","))])
+            code, solve_out, solve_err = invoke(capsys, "solve", *space, "--T", z)
+            if row[-2:] == ["", ""]:
+                assert code == EXIT_NUMERICAL_FAILURE and solve_err == notes.pop(f"z={z}") + "\n"
+            else:
+                payload = json.loads(solve_out)
+                assert row[-2:] == ["%.17g" % payload["c"], "%.17g" % payload["residual"]]
+                fitted += 1
+        assert not notes
+    assert fitted >= 5
 
 
 def test_sweep_normalize_preserves_status(capsys):

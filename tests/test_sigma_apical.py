@@ -284,14 +284,20 @@ def test_singleton_sigma_needs_no_lattice():
 
 def test_sets_read_from_the_lattice_are_not_tested_again(g2, f4, monkeypatch):
     # closure is tested where a caller passes sets in, not in the fill that
-    # the existence test, the sweep and the sigma command run on lattice members
+    # the existence test, the sweep and the sigma command run on lattice
+    # members, nor in the pivot descent below an unattained sigma
     import homricci.sigma_apical as module
+    import homricci.subalgebras as subalgebras
     from homricci.cli import run
 
-    calls = []
-    monkeypatch.setattr(module, "is_bracket_closed", lambda spec, J: calls.append(J) or True)
-    for spec in (g2, f4):
+    calls, descents = [], []
+    for owner in (module, subalgebras):
+        monkeypatch.setattr(owner, "is_bracket_closed", lambda spec, J: calls.append(J) or True)
+    monkeypatch.setattr(module, "maximal_within", lambda spec, J: descents.append(J) or maximal_within(spec, J))
+    descending = random_space_spec(np.random.default_rng(4), max_summands=8, density=0.08)
+    for spec in (g2, f4, descending):
         existence_check(spec, (1.0,) * spec.s)
+    assert len(descents) == 16
     assert run(["sigma", "--builtin", "F4_SU3xSU2xU1", "--T", "1,1,1,1"]) == 0
     assert calls == []
     SigmaContext(f4, (1, 1, 1, 1)).sigmas([(4,), (2, 4)])

@@ -125,6 +125,8 @@ def test_restart_budget_options(g2):
     assert maximize_S_on_MT(g2, (1, 1, 1), SolverOptions(restarts=4)) == report
     with pytest.raises(ValueError):
         SolverOptions(restarts=0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+        SolverOptions(seed=-3)
 
 
 def test_stationary_points_listed(g2):
