@@ -5,7 +5,11 @@ hatS over the unit-trace slice.  A single summand makes the slice one point
 and sigma has a closed form.  Larger slices combine an interior maximization
 with the bound, the largest sigma strictly inside J: the supremum is either
 an interior stationary value or inherited from a smaller subalgebra, and the
-two candidates are compared to decide attainment.
+two candidates are compared to decide attainment.  A bracket-free J, where no
+nonzero [ijk] has all three indices in J, is decided without a slice solve:
+hatS = sum c_i / y_i on its slice is linear in 1/y, so sigma is the bound and
+is not attained.  The exception is a tie of every ratio c_i / (d_i z_i),
+where hatS is constant on the slice and the solve supplies the witness.
 
 The pivot of the existence test is a proper subalgebra whose sigma is
 attained and dominates the sigma of every maximal intermediate subalgebra.
@@ -41,6 +45,7 @@ from .space_model import (
 )
 from .subalgebras import (
     _as_index_set,
+    bracket_masks,
     intermediate_subalgebras,
     is_bracket_closed,
     maximal_within,
@@ -247,11 +252,26 @@ def _sigma_composite(J: SubalgebraIndexSet, report: OptimizationReport, bound: f
     )
 
 
+def _untied_linear(spec: HomogeneousSpaceSpec, masks: np.ndarray, zs: list[tuple[float, ...]]) -> np.ndarray:
+    """For each tensor of ``zs`` (rows) and closed set of ``masks`` (columns),
+    whether the set keeps no bracket inside it and has ratios
+    r_i = c_i / (d_i z_i) that do not tie: hatS = sum c_i / y_i on its slice
+    then has the largest r_i, the bound, as unattained supremum."""
+    brackets = bracket_masks(spec)
+    free = ~((masks[:, None] & brackets) == brackets).any(axis=1)
+    members = (masks[:, None] >> np.arange(spec.s) & 1).astype(bool)
+    r = (singleton_coefficients(spec) / (np.array(spec.d) * np.array(zs)))[:, None]  # as _closed_form divides
+    top, low = np.where(members, r, -np.inf).max(axis=2), np.where(members, r, np.inf).min(axis=2)
+    return free & (top - low > ATTAINMENT_TOLERANCE * np.maximum(1.0, np.abs(top)))
+
+
 def _fill(contexts: Sequence[SigmaContext], Js: Sequence[SubalgebraIndexSet]) -> None:
     """Store in each context, smallest first, the sigma of every closed set
     inside one of ``Js`` that it does not know yet; the contexts share one
     spec and one set of solver options, and every J is closed.  Singletons
-    alone need no lattice.
+    alone need no lattice.  A bracket-free composite set takes its bound,
+    unattained, without a slice solve unless its ratios tie (hatS = sum
+    c_i / y_i is linear in 1/y there); the other slices share one solve.
 
     A stored sigma is its bound or more, so sigma never decreases along
     inclusion, and a set's bound, the largest sigma stored strictly inside
@@ -272,10 +292,13 @@ def _fill(contexts: Sequence[SigmaContext], Js: Sequence[SubalgebraIndexSet]) ->
             inside |= (masks & J.mask) == masks
         closed, masks = [K for K, keep in zip(closed, inside) if keep], masks[inside]
 
-    composite = [(ctx, K) for ctx in contexts for K in closed if len(K) > 1 and K.indices not in ctx._memo]
+    skips = (_untied_linear(spec, masks, [ctx.z for ctx in contexts]) if masks is not None
+             else np.zeros((len(contexts), len(closed)), dtype=bool))
+    composite = [(ctx, K) for ctx, skip in zip(contexts, skips) for K, skipped in zip(closed, skip)
+                 if len(K) > 1 and not skipped and K.indices not in ctx._memo]
     reports = iter(maximize_hatS_on_slices(spec, [K for _, K in composite],
-                                           [ctx.z for ctx, _ in composite], options))
-    for ctx in contexts:
+                                           [ctx.z for ctx, _ in composite], options) if composite else ())
+    for ctx, skip in zip(contexts, skips):
         values = np.empty(len(closed))
         for p, K in enumerate(closed):
             result = ctx._memo.get(K.indices)
@@ -284,7 +307,9 @@ def _fill(contexts: Sequence[SigmaContext], Js: Sequence[SubalgebraIndexSet]) ->
                     result = _closed_form(spec, K.sorted[0], ctx.z)
                 else:
                     below = values[:p][(masks[:p] & masks[p]) == masks[:p]]
-                    result = _sigma_composite(K, next(reports), float(below.max()) if below.size else None)
+                    bound = float(below.max()) if below.size else None
+                    result = (SigmaResult(K, bound, False, None, SigmaSource.BOUNDARY_RECURSION) if skip[p]
+                              else _sigma_composite(K, next(reports), bound))
                 ctx._memo[K.indices] = result
             values[p] = result.value
 

@@ -25,6 +25,7 @@ __all__ = [
     "SubalgebraLattice",
     "bracket_reach",
     "ordered_entries",
+    "bracket_masks",
     "is_bracket_closed",
     "intermediate_subalgebras",
     "maximal_within",
@@ -67,6 +68,14 @@ def ordered_entries(spec: HomogeneousSpaceSpec) -> tuple[np.ndarray, np.ndarray,
     first = ~np.tril(same, -1).any(axis=2)  # not a repeat of an earlier ordering
     a, b, c = orderings[first].T
     return a, b, c, np.repeat([v for _, v in nonzero], first.sum(axis=1))
+
+
+@memoize_per_spec
+def bracket_masks(spec: HomogeneousSpaceSpec) -> np.ndarray:
+    """The mask (bit i-1 for each summand i) of every nonzero multiset,
+    computed once per spec."""
+    return np.array([sum(1 << (i - 1) for i in set(m)) for m, _ in spec.triples.nonzero_multisets()],
+                    dtype=np.int64)
 
 
 @memoize_per_spec

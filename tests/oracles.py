@@ -242,3 +242,33 @@ def seeded_draws(seed: int):
         spec = random_space_spec(rng, summands=s, density=density)
         yield spec
         yield zeroed_variant(spec, rng)
+
+
+def has_internal_bracket(spec: HomogeneousSpaceSpec, J) -> bool:
+    """Some nonzero [ijk] has all three indices in J."""
+    members = sorted(set(int(i) for i in J))
+    return any(spec.constant(i, j, k) != 0.0 for i in members for j in members for k in members)
+
+
+def bracket_free_ratios(spec: HomogeneousSpaceSpec, J, z) -> list[float]:
+    """c_i / (d_i z_i) for i in J, where c_i / y_i is the term of hatS on the
+    slice of a closed J without internal brackets:
+    c_i = 1/2 d_i b_i - 1/2 sum_{j,k not in J} [ijk], summed by loops."""
+    members = sorted(set(int(i) for i in J))
+    complement = [i for i in range(1, spec.s + 1) if i not in members]
+    ratios = []
+    for i in members:
+        c = 0.5 * spec.d[i - 1] * spec.b[i - 1]
+        for j in complement:
+            for k in complement:
+                c -= 0.5 * spec.constant(i, j, k)
+        ratios.append(c / (spec.d[i - 1] * float(z[i - 1])))
+    return ratios
+
+
+def bracket_free_supremum(spec: HomogeneousSpaceSpec, J, z) -> float:
+    """Supremum of hatS on the unit-trace slice of a closed J without
+    internal brackets: with u_i = d_i z_i / y_i on the simplex sum u_i = 1,
+    hatS = sum_i u_i c_i / (d_i z_i) is linear, so the supremum is the
+    largest ratio."""
+    return max(bracket_free_ratios(spec, J, z))

@@ -18,15 +18,18 @@ from homricci.sigma_apical import (
     _complement_constant,
     _sigma_composite,
 )
-from homricci.solver import OptimizationReport, SolverError
+from homricci.solver import OptimizationReport, SolverError, maximize_hatS_on_slices
 from homricci.space_model import SubalgebraIndexSet, load_space_spec, wallach_space
 from homricci.subalgebras import intermediate_subalgebras, maximal_within
 
 from oracles import (
     all_closed_subsets,
+    bracket_free_ratios,
+    bracket_free_supremum,
     brute_force_hat_curvature,
     complement_constant,
     golden_section_max,
+    has_internal_bracket,
     psi_peak_location,
     psi_peak_value,
     psi_slice_value,
@@ -302,6 +305,120 @@ def test_sets_read_from_the_lattice_are_not_tested_again(g2, f4, monkeypatch):
     assert calls == []
     SigmaContext(f4, (1, 1, 1, 1)).sigmas([(4,), (2, 4)])
     assert [J.sorted for J in calls] == [(4,), (2, 4)]
+
+
+# ---------------------------------------------------------------------------
+# bracket-free subalgebras: hatS = sum c_i / y_i on the slice, linear in 1/y
+# ---------------------------------------------------------------------------
+
+
+def _record_solves(monkeypatch) -> list[list[tuple[frozenset[int], tuple[float, ...]]]]:
+    """For each call the fill makes to the solver, the (J, z) of its slices."""
+    import homricci.sigma_apical as module
+
+    calls = []
+
+    def recorder(spec, Js, zs, options=None):
+        calls.append([(SubalgebraIndexSet.from_iterable(J).indices, tuple(z)) for J, z in zip(Js, zs)])
+        return maximize_hatS_on_slices(spec, Js, zs, options)
+
+    monkeypatch.setattr(module, "maximize_hatS_on_slices", recorder)
+    return calls
+
+
+def _ratio_gap(ratios) -> float:
+    top = max(ratios)
+    return (top - min(ratios)) / max(1.0, abs(top))
+
+
+def test_untied_bracket_free_members_are_decided_without_a_solve(monkeypatch):
+    calls = _record_solves(monkeypatch)
+    rng = np.random.default_rng(1313)
+    decided = escaped = kept = 0
+    for draw in range(60):
+        spec = random_space_spec(rng, max_summands=12, density=float(rng.uniform(0.03, 0.25)))
+        z = (1.0,) * spec.s if draw % 2 else tuple(rng.uniform(0.3, 3.0, spec.s))
+        lattice = intermediate_subalgebras(spec).all_proper
+        if len(lattice) > 300:
+            continue
+        calls.clear()
+        rows = SigmaContext(spec, z).closed_sigmas(lattice)
+        solved = {slice_ for call in calls for slice_ in call}
+        free = []
+        for row in rows:
+            if len(row.J) == 1 or has_internal_bracket(spec, row.J):
+                kept += len(row.J) > 1
+                continue
+            # the tie tolerance is 1e-9; leave the oracle's rounding a margin
+            gap = _ratio_gap(bracket_free_ratios(spec, row.J, z))
+            if gap <= 2e-9:
+                continue
+            assert (row.attained, row.witness, row.source) == (False, None, SigmaSource.BOUNDARY_RECURSION)
+            assert row.value == pytest.approx(bracket_free_supremum(spec, row.J, z), rel=1e-12, abs=1e-12)
+            assert (row.J.indices, z) not in solved, (spec, row.J)
+            decided += 1
+            if gap > 1e-4:
+                free.append(row.J)
+        # the skipped solve would have escaped on every restart, which gives
+        # the same result; each report is the one the slice gets alone
+        for J, report in zip(free, maximize_hatS_on_slices(spec, free, [z] * len(free))):
+            assert not report.converged, (spec, J)
+            escaped += 1
+    assert decided >= 200 and escaped >= 200 and kept >= 150, (decided, escaped, kept)
+
+
+def test_tied_bracket_free_pair_is_still_solved(monkeypatch):
+    # no constants: every ratio is b_i / (2 z_i) = 1/2 at T = 1, hatS is
+    # constant on each slice and the solver's witness is kept
+    calls = _record_solves(monkeypatch)
+    spec = load_space_spec({"name": "flat", "d": [2, 3, 5], "triples": []})
+    result = sigma(spec, (1, 2), (1, 1, 1))
+    assert calls == [[(frozenset({1, 2}), (1.0, 1.0, 1.0))]]
+    assert result.attained and result.source is SigmaSource.INTERIOR_MAXIMUM
+    assert result.value == pytest.approx(0.5, rel=1e-12)
+
+
+def test_fill_without_slices_calls_no_solver(g2, e6, monkeypatch):
+    # G2 and E6 have only singletons, and the one closed pair of this
+    # fully mixed s = 6 spec keeps no bracket and is not tied
+    calls = _record_solves(monkeypatch)
+    mixed = load_space_spec({"name": "mixed", "d": [2, 3, 4, 5, 6, 7], "triples": [
+        {"i": i, "j": j, "k": k, "value": 1}
+        for i, j, k in ((1, 3, 4), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 5, 6), (1, 5, 6))]})
+    assert [J.sorted for J in intermediate_subalgebras(mixed).all_proper if len(J) > 1] == [(1, 2)]
+    for spec in (g2, e6, mixed):
+        existence_check(spec, (1.0,) * spec.s)
+    sigma(mixed, (1, 2), (1.0, 1.1, 1.0, 1.0, 1.0, 1.0))
+    assert calls == []
+    assert not sigma(mixed, (1, 2), (1.0,) * 6).attained
+
+
+def test_slice_with_an_internal_bracket_keeps_its_solve():
+    # [568] lies inside {5,6,8}, so hatS there is not linear in 1/y and its
+    # interior maximum beats the singleton bound sigma({6}) = 13/54
+    spec = load_space_spec({"name": "sparse8_1", "d": [2, 11, 3, 4, 4, 9, 12, 1], "triples": [
+        {"i": 1, "j": 3, "k": 4, "value": "3"}, {"i": 2, "j": 2, "k": 4, "value": "4/3"},
+        {"i": 5, "j": 6, "k": 8, "value": "7/3"}, {"i": 7, "j": 7, "k": 8, "value": "3/2"}]})
+    result = sigma(spec, (5, 6, 8), (1,) * 8)
+    assert result.attained and result.source is SigmaSource.INTERIOR_MAXIMUM
+    assert result.value == pytest.approx(0.2477054901850529, rel=1e-12)
+    assert result.value > sigma(spec, (6,), (1,) * 8).value == 0.24074074074074073
+
+
+def test_near_tied_bracket_free_pair_is_not_attained():
+    # ratios 1/4 and 1/4 / (1 + 1e-7): hatS on the {1,2} slice rises toward
+    # y_2 -> inf, where the solver used to stop on a flat ray and report an
+    # attained maximum at a witness spread of about 1e5
+    spec = load_space_spec({"name": "near_tie", "d": [2, 2, 2], "triples": [
+        {"i": 1, "j": 3, "k": 3, "value": 1}, {"i": 2, "j": 3, "k": 3, "value": 1}]})
+    T = (1.0, 1.0000001, 1.0)
+    assert not sigma(spec, (1, 2), T).attained
+    verdict = existence_check(spec, T)
+    assert verdict.apical.sorted == (1,) and verdict.sigma.value == 0.25
+    # exactly tied, hatS is constant on the slice and the solve is kept
+    tied = existence_check(spec, (1, 1, 1)).sigma
+    assert (tied.J.sorted, tied.value, tied.attained, tied.witness) == (
+        (1, 2), 0.25, True, (2.1641699972477975, 26.36498792140695))
 
 
 @pytest.mark.parametrize("seed", [3, 17])
