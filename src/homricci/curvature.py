@@ -131,17 +131,13 @@ def _term_systems(spec: HomogeneousSpaceSpec) -> dict[tuple[int, ...], TermSyste
     return {}
 
 
-def _term_system_cached(spec: HomogeneousSpaceSpec, indices: tuple[int, ...]) -> TermSystem:
-    systems = _term_systems(spec)
+def slice_term_system(spec: HomogeneousSpaceSpec, indices=None) -> TermSystem:
+    """Compiled monomial form of hatS on the given slice (full set by default)."""
+    indices, systems = resolve_indices(spec, indices), _term_systems(spec)
     system = systems.get(indices)
     if system is None:
         system = systems.setdefault(indices, _compile(spec, indices))
     return system
-
-
-def slice_term_system(spec: HomogeneousSpaceSpec, indices=None) -> TermSystem:
-    """Compiled monomial form of hatS on the given slice (full set by default)."""
-    return _term_system_cached(spec, resolve_indices(spec, indices))
 
 
 def hat_scalar_curvature(spec: HomogeneousSpaceSpec, indices, y) -> float:
@@ -152,8 +148,7 @@ def hat_scalar_curvature(spec: HomogeneousSpaceSpec, indices, y) -> float:
     """
     resolved = resolve_indices(spec, indices)
     ys = coefficients_array(y, len(resolved), "y")
-    system = _term_system_cached(spec, resolved)
-    return system.value(np.array(ys))
+    return slice_term_system(spec, resolved).value(np.array(ys))
 
 
 def scalar_curvature(spec: HomogeneousSpaceSpec, x) -> float:
@@ -185,9 +180,6 @@ class RicciCoefficients:
 
     R: tuple[float, ...]
     r: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.R)
 
 
 def ricci_coefficients(spec: HomogeneousSpaceSpec, x) -> RicciCoefficients:

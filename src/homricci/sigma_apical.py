@@ -45,7 +45,6 @@ from .space_model import (
 )
 from .subalgebras import (
     _as_index_set,
-    bracket_masks,
     intermediate_subalgebras,
     is_bracket_closed,
     maximal_within,
@@ -160,25 +159,14 @@ def sigma_irreducible(spec: HomogeneousSpaceSpec, i: int, z) -> SigmaResult:
 
     The slice is the single point y = d_i z_i, and hatS on it is one term
     c / y with c = d_i b_i / 2 - [iii] / 4 - 1/2 sum_{j,k != i} [ijk], so
-    the supremum is attained there and equals c / (d_i z_i).
+    the supremum is attained there and equals c / (d_i z_i), the value a
+    sigma fill stores for {i}.
     """
-    zs = coefficients_array(z, spec.s, "z")
-    if not is_bracket_closed(spec, SubalgebraIndexSet.of(i)):
-        raise ValueError(f"summand {i} does not span a subalgebra")
-    return _closed_form(spec, i, zs)
-
-
-def _closed_form(spec: HomogeneousSpaceSpec, i: int, zs: tuple[float, ...]) -> SigmaResult:
-    """:func:`sigma_irreducible` for a summand known to be closed."""
+    ctx = SigmaContext(spec, z)
     J = SubalgebraIndexSet.of(i)
-    point = spec.d[i - 1] * zs[i - 1]
-    return SigmaResult(
-        J=J,
-        value=float(singleton_coefficients(spec)[i - 1]) / point,
-        attained=True,
-        witness=(point,),
-        source=SigmaSource.CLOSED_FORM_IRREDUCIBLE,
-    )
+    if not is_bracket_closed(spec, J):
+        raise ValueError(f"summand {i} does not span a subalgebra")
+    return ctx.closed_sigmas([J])[0]
 
 
 class SigmaContext:
@@ -252,15 +240,17 @@ def _sigma_composite(J: SubalgebraIndexSet, report: OptimizationReport, bound: f
     )
 
 
-def _untied_linear(spec: HomogeneousSpaceSpec, masks: np.ndarray, zs: list[tuple[float, ...]]) -> np.ndarray:
-    """For each tensor of ``zs`` (rows) and closed set of ``masks`` (columns),
-    whether the set keeps no bracket inside it and has ratios
-    r_i = c_i / (d_i z_i) that do not tie: hatS = sum c_i / y_i on its slice
-    then has the largest r_i, the bound, as unattained supremum."""
-    brackets = bracket_masks(spec)
+def _untied_linear(spec: HomogeneousSpaceSpec, masks: np.ndarray, ratios: np.ndarray) -> np.ndarray:
+    """For each row of ``ratios``, the singleton sigmas r_i = c_i / (d_i z_i)
+    of one tensor, and each closed set of ``masks`` (columns), whether the
+    set keeps no bracket inside it and has ratios that do not tie:
+    hatS = sum c_i / y_i on its slice then has the largest r_i, the bound,
+    as unattained supremum."""
+    a, b, c, _ = ordered_entries(spec)
+    brackets = 1 << a | 1 << b | 1 << c
     free = ~((masks[:, None] & brackets) == brackets).any(axis=1)
     members = (masks[:, None] >> np.arange(spec.s) & 1).astype(bool)
-    r = (singleton_coefficients(spec) / (np.array(spec.d) * np.array(zs)))[:, None]  # as _closed_form divides
+    r = ratios[:, None]
     top, low = np.where(members, r, -np.inf).max(axis=2), np.where(members, r, np.inf).min(axis=2)
     return free & (top - low > ATTAINMENT_TOLERANCE * np.maximum(1.0, np.abs(top)))
 
@@ -269,9 +259,11 @@ def _fill(contexts: Sequence[SigmaContext], Js: Sequence[SubalgebraIndexSet]) ->
     """Store in each context, smallest first, the sigma of every closed set
     inside one of ``Js`` that it does not know yet; the contexts share one
     spec and one set of solver options, and every J is closed.  Singletons
-    alone need no lattice.  A bracket-free composite set takes its bound,
-    unattained, without a slice solve unless its ratios tie (hatS = sum
-    c_i / y_i is linear in 1/y there); the other slices share one solve.
+    alone need no lattice; each takes its closed form from the points
+    d_i z_i and ratios c_i / (d_i z_i) divided once per fill.  A
+    bracket-free composite set takes its bound, unattained, without a slice
+    solve unless its ratios tie (hatS = sum c_i / y_i is linear in 1/y
+    there); the other slices share one solve.
 
     A stored sigma is its bound or more, so sigma never decreases along
     inclusion, and a set's bound, the largest sigma stored strictly inside
@@ -292,19 +284,22 @@ def _fill(contexts: Sequence[SigmaContext], Js: Sequence[SubalgebraIndexSet]) ->
             inside |= (masks & J.mask) == masks
         closed, masks = [K for K, keep in zip(closed, inside) if keep], masks[inside]
 
-    skips = (_untied_linear(spec, masks, [ctx.z for ctx in contexts]) if masks is not None
+    points = np.array(spec.d) * np.array([ctx.z for ctx in contexts])
+    ratios = singleton_coefficients(spec) / points
+    skips = (_untied_linear(spec, masks, ratios) if masks is not None
              else np.zeros((len(contexts), len(closed)), dtype=bool))
     composite = [(ctx, K) for ctx, skip in zip(contexts, skips) for K, skipped in zip(closed, skip)
                  if len(K) > 1 and not skipped and K.indices not in ctx._memo]
     reports = iter(maximize_hatS_on_slices(spec, [K for _, K in composite],
                                            [ctx.z for ctx, _ in composite], options) if composite else ())
-    for ctx, skip in zip(contexts, skips):
+    for ctx, skip, point, ratio in zip(contexts, skips, points.tolist(), ratios.tolist()):
         values = np.empty(len(closed))
         for p, K in enumerate(closed):
             result = ctx._memo.get(K.indices)
             if result is None:
                 if len(K) == 1:
-                    result = _closed_form(spec, K.sorted[0], ctx.z)
+                    i = K.sorted[0] - 1
+                    result = SigmaResult(K, ratio[i], True, (point[i],), SigmaSource.CLOSED_FORM_IRREDUCIBLE)
                 else:
                     below = values[:p][(masks[:p] & masks[p]) == masks[:p]]
                     bound = float(below.max()) if below.size else None

@@ -34,7 +34,6 @@ out of budget even if its gradient is already small.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -294,25 +293,13 @@ class _SliceProblem:
         return D * np.minimum(1.0, MAX_LOG_STEP / np.maximum(_row_norms(D), _TINY))[:, None]
 
 
-@dataclass
-class _RestartResult:
-    w: np.ndarray
-    value: float
-    residual: float
-    iterations: int
-    outcome: str                      # a field name of RestartOutcomes
-
-    @property
-    def converged(self) -> bool:
-        return self.outcome == "converged"
-
-    @property
-    def escaped(self) -> bool:
-        return self.outcome == "escaped"
-
-
-def _run_restarts(problem: _SliceProblem, W0: np.ndarray, max_iterations: int) -> list[_RestartResult]:
-    """Advance every restart of every slice together, one row each.
+def _run_restarts(problem: _SliceProblem, W0: np.ndarray, max_iterations: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Advance every restart of every slice together, one row each, and
+    return, row by row, the final point W, its value F, its projected-gradient
+    norm, the iterations it ran and its outcome code: the position of the
+    outcome's field in :class:`RestartOutcomes` (0 converged, 1 escaped,
+    2 out of budget, 3 stalled).
 
     Each pass takes one ascent step on every active row, and the row
     backtracks on its own Armijo test.  A trial whose value is not finite is
@@ -383,19 +370,8 @@ def _run_restarts(problem: _SliceProblem, W0: np.ndarray, max_iterations: int) -
             active &= ~finished
 
         residual = _row_norms(problem.tangent(W, G)[0])
-    results = []
-    for r in range(R):
-        if escaped[r]:
-            outcome = "escaped"
-        elif active[r]:
-            outcome = "out_of_budget"
-        elif residual[r] < GRADIENT_TOLERANCE:
-            outcome = "converged"
-        else:
-            outcome = "stalled"
-        results.append(_RestartResult(w=W[r], value=float(F[r]), residual=float(residual[r]),
-                                      iterations=int(iterations[r]), outcome=outcome))
-    return results
+    outcome = np.select([escaped, active, residual < GRADIENT_TOLERANCE], [1, 2, 0], 3)
+    return W, F, residual, iterations, outcome
 
 
 def _distinct(points: list[tuple[float, ...]], candidate: tuple[float, ...]) -> bool:
@@ -432,60 +408,61 @@ def _maximize(spec: HomogeneousSpaceSpec, slices: list[tuple[int, ...]], zs: lis
             batch = positions[first: first + per_batch]
             problem = _SliceProblem(spec, systems[first: first + per_batch],
                                     [zs[p] for p in batch], R)
-            results = _run_restarts(problem, np.tile(starts, (len(batch), 1)), options.max_iterations)
+            arrays = _run_restarts(problem, np.tile(starts, (len(batch), 1)), options.max_iterations)
             for j, p in enumerate(batch):
-                reports[p] = _report(results[j * R: (j + 1) * R], options)
+                reports[p] = _report(*(a[j * R: (j + 1) * R] for a in arrays), options)
     return reports
 
 
-def _report(results: list[_RestartResult], options: SolverOptions) -> OptimizationReport:
-    """One slice's report from the restarts that ran on it."""
-    total_iterations = sum(r.iterations for r in results)
-    outcomes = RestartOutcomes(**Counter(r.outcome for r in results))
+def _report(W: np.ndarray, F: np.ndarray, residual: np.ndarray, iterations: np.ndarray,
+            outcome: np.ndarray, options: SolverOptions) -> OptimizationReport:
+    """One slice's report from the rows of :func:`_run_restarts` that ran
+    on it.  Converged rows rank by value, then by coordinates, which picks
+    the argmax and orders the stationary points."""
+    outcomes = RestartOutcomes(*np.bincount(outcome, minlength=4).tolist())
     diagnostics = outcomes.describe(options.max_iterations)
+    Y, values = np.exp(W), F.tolist()
 
-    converged = [r for r in results if r.converged]
+    converged = np.flatnonzero(outcome == 0).tolist()
     if converged:
-        def key(r: _RestartResult):
-            return (-r.value, tuple(np.exp(r.w)))
-        best = min(converged, key=key)
-        best_y = tuple(float(v) for v in np.exp(best.w))
+        ranked = sorted(converged, key=lambda r: (-values[r], tuple(Y[r])))
+        best = ranked[0]
         near_optimal: list[tuple[float, ...]] = []
-        for r in sorted(converged, key=key):
-            if r.value >= best.value - VALUE_TIE * max(1.0, abs(best.value)):
-                y = tuple(float(v) for v in np.exp(r.w))
+        for r in ranked:
+            if values[r] >= values[best] - VALUE_TIE * max(1.0, abs(values[best])):
+                y = tuple(Y[r].tolist())
                 if _distinct(near_optimal, y):
                     near_optimal.append(y)
         return OptimizationReport(
-            argmax=best_y,
-            value=best.value,
-            iterations=total_iterations,
+            argmax=near_optimal[0],
+            value=values[best],
+            iterations=int(iterations.sum()),
             restarts_used=options.restarts,
             converged=True,
-            first_order_residual=best.residual,
+            first_order_residual=float(residual[best]),
             escaped=False,
             stationary_points=tuple(near_optimal),
             outcomes=outcomes,
             diagnostics=diagnostics,
         )
 
-    # no restart found an interior stationary point
-    best = max(results, key=lambda r: r.value)
-    escaped_any = outcomes.escaped > 0
+    # no restart found an interior stationary point; argmax picks the first best row
+    best = int(np.argmax(F))
+    escaped = outcome == 1
     direction = None
-    if escaped_any:
-        best_escape = max((r for r in results if r.escaped), key=lambda r: r.value)
-        centred = best_escape.w - best_escape.w.mean()
-        direction = tuple(float(v) for v in centred / np.linalg.norm(centred))
+    if outcomes.escaped:
+        rows = np.flatnonzero(escaped)
+        w = W[rows[np.argmax(F[rows])]]
+        centred = w - w.mean()
+        direction = tuple((centred / np.linalg.norm(centred)).tolist())
     return OptimizationReport(
-        argmax=tuple(float(v) for v in np.exp(best.w)),
-        value=best.value,
-        iterations=total_iterations,
+        argmax=tuple(Y[best].tolist()),
+        value=values[best],
+        iterations=int(iterations.sum()),
         restarts_used=options.restarts,
         converged=False,
-        first_order_residual=min(r.residual for r in results if not r.escaped)
-        if outcomes.escaped < len(results) else math.inf,
-        escaped=escaped_any,
+        first_order_residual=float(residual[~escaped].min()) if outcomes.escaped < len(F) else math.inf,
+        escaped=bool(outcomes.escaped),
         escape_direction=direction,
         outcomes=outcomes,
         diagnostics=diagnostics,

@@ -25,7 +25,6 @@ __all__ = [
     "SubalgebraLattice",
     "bracket_reach",
     "ordered_entries",
-    "bracket_masks",
     "is_bracket_closed",
     "intermediate_subalgebras",
     "maximal_within",
@@ -71,14 +70,6 @@ def ordered_entries(spec: HomogeneousSpaceSpec) -> tuple[np.ndarray, np.ndarray,
 
 
 @memoize_per_spec
-def bracket_masks(spec: HomogeneousSpaceSpec) -> np.ndarray:
-    """The mask (bit i-1 for each summand i) of every nonzero multiset,
-    computed once per spec."""
-    return np.array([sum(1 << (i - 1) for i in set(m)) for m, _ in spec.triples.nonzero_multisets()],
-                    dtype=np.int64)
-
-
-@memoize_per_spec
 def bracket_reach(spec: HomogeneousSpaceSpec) -> tuple[tuple[int, ...], ...]:
     """``reach[a][b]``: the summands c with [abc] != 0 as a mask (bit c-1),
     for the zero-based pair (a, b), computed once per spec."""
@@ -107,9 +98,6 @@ class SubalgebraLattice:
 
     all_proper: tuple[SubalgebraIndexSet, ...]
     maximal: tuple[SubalgebraIndexSet, ...]
-
-    def __len__(self) -> int:
-        return len(self.all_proper)
 
 
 def _sort_key(J: SubalgebraIndexSet):

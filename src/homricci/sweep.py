@@ -54,6 +54,8 @@ def parse_grid_axis(text: str, s: int) -> tuple[int, float, float, int]:
         raise SpecError(f"grid axis index {index} out of range 1..{s}", "--grid")
     if minimum <= 0:
         raise SpecError("grid minimum must be positive", "--grid")
+    if maximum <= 0:
+        raise SpecError("grid maximum must be positive", "--grid")
     if n < 1:
         raise SpecError("grid steps must be >= 1", "--grid")
     return index, minimum, maximum, n

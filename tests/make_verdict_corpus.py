@@ -2,11 +2,15 @@
 
 Each entry is one seeded space with s <= 8 summands and one tensor T: the
 space itself (rational constants, so the file reads back exactly), the
-``check`` verdict's status and pivot, and the ``sigma`` table over the whole
-lattice, one row per member: [J, attained, source, value].  The test
-recomputes every entry and compares status, pivot, attainment and source
-exactly and each value to 1e-12 relative, so a change that moves a verdict
-shows up as a failed test, and a deliberate move as a regenerated file.
+``check`` verdict's status and pivot, the ``sigma`` table over the whole
+lattice, one row per member: [J, attained, source, value], and the ``solve``
+report: whether it converged, how many restarts ended each way, and for a
+converged report the maximum and its argmax.  The test recomputes every
+entry and compares status, pivot, attainment, source, convergence and the
+restart counts exactly, each sigma and maximum to 1e-12 relative and each
+argmax coordinate to 1e-9 relative, so a change that moves a verdict or a
+solve shows up as a failed test, and a deliberate move as a regenerated
+file.
 
 Run from the repository root:
 
@@ -15,6 +19,7 @@ Run from the repository root:
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import sys
@@ -22,7 +27,7 @@ import sys
 import numpy as np
 
 from homricci.sigma_apical import SigmaContext, existence_verdict
-from homricci.solver import SolverError
+from homricci.solver import SolverError, maximize_S_on_MT
 from homricci.space_model import load_space_spec
 from homricci.subalgebras import intermediate_subalgebras
 
@@ -61,17 +66,22 @@ def spec_of(space: dict):
 
 
 def verdicts(space: dict, T: list[float]) -> dict:
-    """The check verdict and the sigma table of one request.  The table is
-    read from the context the check filled, which gives every sigma its
-    context would compute alone."""
+    """The check verdict, the sigma table and the solve report of one
+    request.  The table is read from the context the check filled, which
+    gives every sigma its context would compute alone."""
     spec = spec_of(space)
     ctx = SigmaContext(spec, T)
     verdict = existence_verdict(ctx)
     rows = ctx.closed_sigmas(intermediate_subalgebras(spec).all_proper)
+    report = maximize_S_on_MT(spec, T)
+    solve = {"converged": report.converged, "outcomes": dataclasses.asdict(report.outcomes)}
+    if report.converged:
+        solve.update(value=report.value, argmax=list(report.argmax))
     return {
         "status": verdict.status.value,
         "apical": None if verdict.apical is None else list(verdict.apical.sorted),
         "sigma": [[list(r.J.sorted), r.attained, r.source.value, r.value] for r in rows],
+        "solve": solve,
     }
 
 

@@ -12,7 +12,8 @@ from homricci.cli import (
     run,
 )
 from homricci.space_model import SpecError, load_space_spec
-from homricci.sweep import grid_points, parse_grid_axis
+from homricci.solver import SolverOptions
+from homricci.sweep import grid_points, parse_grid_axis, sweep
 
 DATA = Path(__file__).parent / "data"
 
@@ -272,12 +273,31 @@ def test_grid_axis_parsing():
     assert parse_grid_axis("2=1/2:3/2:5", 3)[1] == 0.5
     with pytest.raises(SpecError):
         parse_grid_axis("1=0:2:4", 3)       # min not positive
+    with pytest.raises(SpecError, match="^--grid: grid maximum must be positive$"):
+        parse_grid_axis("1=1:0:4", 3)       # max not positive
     with pytest.raises(SpecError):
         parse_grid_axis("5=1:2:4", 3)       # index out of range
     with pytest.raises(SpecError):
         parse_grid_axis("1=1:2:0", 3)       # steps < 1
     with pytest.raises(SpecError):
         parse_grid_axis("1=1:2", 3)         # malformed
+
+
+def test_sweep_nonpositive_grid_maximum_is_exit_2(capsys):
+    code, out, err = invoke(capsys, "sweep", "--builtin", "G2_U2_long", "--T", "1,1,1",
+                            "--grid", "1=0.5:-1:3")
+    assert (code, out, err) == (EXIT_INVALID_INPUT, "", "error: --grid: grid maximum must be positive\n")
+
+
+def test_sweep_point_without_a_context_gives_one_error_row(g2):
+    # a tensor that SigmaContext rejects gets no context; its row still
+    # reports the error, and the other point keeps its row
+    header, rows, notes = sweep(g2, [(1, 1, 1), (-1, 1, 1)], SolverOptions())
+    alone = sweep(g2, [(1, 1, 1)], SolverOptions())[1][0]
+    assert rows[0] == alone and rows[0][header.index("status")] != "error"
+    assert rows[1] == ["-1", "1", "1", "error", "", "", ""]
+    assert [row[header.index("status")] for row in rows].count("error") == 1
+    assert notes == ["z=-1,1,1: z[1] must be finite and positive, got -1.0"]
 
 
 def test_grid_at_most_two_axes(g2):
@@ -497,6 +517,27 @@ def test_sweep_failed_attainment_gives_one_error_row(capsys, monkeypatch, tmp_pa
     assert "error" not in healthy and lines[2] == "2,1,1,error,,,"
     assert err == ("z=2,1,1: interior maximization failed on {1,2} and it has no proper "
                    "subalgebra to recurse into: injected\n")
+
+
+def test_check_numerical_failure_is_exit_3(capsys, monkeypatch, tmp_path):
+    # the lattice is {3} and {1,2}; nothing closed lies inside {1,2}, so a
+    # slice solve that stalls leaves its sigma undecided.  A descent
+    # direction fails every Armijo test, so every restart stalls.
+    import homricci.solver as solver
+
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({
+        "name": "pair", "d": [2, 2, 2],
+        "triples": [{"i": 1, "j": 1, "k": 2, "value": 1}, {"i": 1, "j": 2, "k": 2, "value": 1}],
+    }))
+    monkeypatch.setattr(solver._SliceProblem, "ascent_direction", lambda self, G, gp, *rest: -gp)
+    code, out, err = invoke(capsys, "check", "--space", str(path), "--T", "1,1,1")
+    assert (code, out) == (EXIT_NUMERICAL_FAILURE, "")
+    assert err == ("numerical failure: interior maximization failed on {1,2} and it has no proper "
+                   "subalgebra to recurse into: 16/16 restarts stalled in the line search\n")
+    code, out, _ = invoke(capsys, "sweep", "--space", str(path), "--T", "1,1,1", "--grid", "1=1:2:2")
+    assert code == EXIT_OK
+    assert out.splitlines()[1:] == ["1,1,1,error,,,", "2,1,1,error,,,"]
 
 
 def test_sweep_rows_match_single_checks(capsys, tmp_path):

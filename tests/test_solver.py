@@ -5,6 +5,7 @@ import pytest
 
 from homricci.curvature import metric_trace_of_T, scalar_curvature
 from homricci.solver import (
+    RestartOutcomes,
     SolverOptions,
     escape_curve_S,
     maximize_S_on_MT,
@@ -287,6 +288,18 @@ def test_diagnostics_name_every_nonzero_count(f4):
     assert len(nonzero) >= 2
     assert len(clauses) == len(nonzero)
     assert all(clause.startswith(f"{n}/16 restarts") for clause, n in zip(clauses, nonzero))
+
+
+def test_stalled_restarts_are_counted(f4, g2, monkeypatch):
+    # a descent direction fails every Armijo test, so each restart's line
+    # search backtracks below the step tolerance and stalls
+    import homricci.solver as solver
+
+    monkeypatch.setattr(solver._SliceProblem, "ascent_direction", lambda self, G, gp, *rest: -gp)
+    for report in (maximize_hatS_on_slice(f4, (2, 4), (1, 1, 1, 1)), maximize_S_on_MT(g2, (1, 1, 1))):
+        assert report.outcomes == RestartOutcomes(stalled=16)
+        assert report.converged is False
+        assert report.diagnostics == "16/16 restarts stalled in the line search"
 
 
 def test_budget_exhausted_restart_is_never_converged(f4):
