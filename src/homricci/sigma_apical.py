@@ -2,14 +2,11 @@
 
 For an intermediate subalgebra J the quantity sigma(J, T) is the supremum of
 hatS over the unit-trace slice.  A single summand makes the slice one point
-and sigma has a closed form.  Larger slices combine an interior maximization
-with the bound, the largest sigma strictly inside J: the supremum is either
-an interior stationary value or inherited from a smaller subalgebra, and the
-two candidates are compared to decide attainment.  A bracket-free J, where no
-nonzero [ijk] has all three indices in J, is decided without a slice solve:
-hatS = sum c_i / y_i on its slice is linear in 1/y, so sigma is the bound and
-is not attained.  The exception is a tie of every ratio c_i / (d_i z_i),
-where hatS is constant on the slice and the solve supplies the witness.
+and sigma has a closed form.  The nonzero [ijk] inside J split it into
+bracket-connected components.  On a connected J an interior maximization
+is compared with the bound, the largest sigma strictly inside J, to decide
+attainment.  A disconnected J needs no solve: its slice is the convex hull
+of its components' slices in u = 1/y, so sigma is their largest sigma.
 
 The pivot of the existence test is a proper subalgebra whose sigma is
 attained and dominates the sigma of every maximal intermediate subalgebra.
@@ -240,19 +237,31 @@ def _sigma_composite(J: SubalgebraIndexSet, report: OptimizationReport, bound: f
     )
 
 
-def _untied_linear(spec: HomogeneousSpaceSpec, masks: np.ndarray, ratios: np.ndarray) -> np.ndarray:
-    """For each row of ``ratios``, the singleton sigmas r_i = c_i / (d_i z_i)
-    of one tensor, and each closed set of ``masks`` (columns), whether the
-    set keeps no bracket inside it and has ratios that do not tie:
-    hatS = sum c_i / y_i on its slice then has the largest r_i, the bound,
-    as unattained supremum."""
+def _sigma_split(J: SubalgebraIndexSet, parts: Sequence[SigmaResult]) -> SigmaResult:
+    """sigma of a closed J from the sigmas of its m > 1 components: the
+    largest, attained only when every component is attained and ties at the
+    top.  The witness is then the component witnesses each scaled by m, the
+    point of weight 1/m on each in u = 1/y."""
+    top = max(r.value for r in parts)
+    tol = ATTAINMENT_TOLERANCE * max(1.0, abs(top))
+    if not all(r.attained and r.value >= top - tol for r in parts):
+        return SigmaResult(J, top, False, None, SigmaSource.BOUNDARY_RECURSION)
+    coords = {i: len(parts) * y for r in parts for i, y in zip(r.J.sorted, r.witness)}
+    return SigmaResult(J, top, True, tuple(coords[i] for i in J.sorted), SigmaSource.INTERIOR_MAXIMUM)
+
+
+def _first_components(spec: HomogeneousSpaceSpec, masks: np.ndarray) -> np.ndarray:
+    """For each closed set of ``masks``, the mask of its component holding
+    its lowest member, grown by every nonzero [ijk] inside the set that
+    touches it until none does (at most s rounds)."""
     a, b, c, _ = ordered_entries(spec)
-    brackets = 1 << a | 1 << b | 1 << c
-    free = ~((masks[:, None] & brackets) == brackets).any(axis=1)
-    members = (masks[:, None] >> np.arange(spec.s) & 1).astype(bool)
-    r = ratios[:, None]
-    top, low = np.where(members, r, -np.inf).max(axis=2), np.where(members, r, np.inf).min(axis=2)
-    return free & (top - low > ATTAINMENT_TOLERANCE * np.maximum(1.0, np.abs(top)))
+    brackets = (1 << a | 1 << b | 1 << c)[(a <= b) & (b <= c)]
+    links = np.where((masks[:, None] & brackets) == brackets, brackets, 0)
+    grown, wider = np.zeros_like(masks), masks & -masks
+    while (wider != grown).any():
+        grown = wider
+        wider = grown | np.bitwise_or.reduce(np.where(links & grown[:, None], links, 0), axis=1)
+    return grown
 
 
 def _fill(contexts: Sequence[SigmaContext], Js: Sequence[SubalgebraIndexSet]) -> None:
@@ -260,10 +269,10 @@ def _fill(contexts: Sequence[SigmaContext], Js: Sequence[SubalgebraIndexSet]) ->
     inside one of ``Js`` that it does not know yet; the contexts share one
     spec and one set of solver options, and every J is closed.  Singletons
     alone need no lattice; each takes its closed form from the points
-    d_i z_i and ratios c_i / (d_i z_i) divided once per fill.  A
-    bracket-free composite set takes its bound, unattained, without a slice
-    solve unless its ratios tie (hatS = sum c_i / y_i is linear in 1/y
-    there); the other slices share one solve.
+    d_i z_i and ratios c_i / (d_i z_i) divided once per fill.  A composite
+    set split into components by its internal brackets takes
+    :func:`_sigma_split` of theirs, stored earlier in lattice order; the
+    connected ones share one slice solve.
 
     A stored sigma is its bound or more, so sigma never decreases along
     inclusion, and a set's bound, the largest sigma stored strictly inside
@@ -273,8 +282,9 @@ def _fill(contexts: Sequence[SigmaContext], Js: Sequence[SubalgebraIndexSet]) ->
     asked = {J.indices: J for J in Js if any(J.indices not in ctx._memo for ctx in contexts)}
     if not asked:
         return
+    split: dict[int, list[int]] = {}  # position of a disconnected set -> its components'
     if all(len(J) == 1 for J in asked.values()):
-        closed, masks = sorted(asked.values(), key=lambda J: J.sorted), None
+        closed, solved = sorted(asked.values(), key=lambda J: J.sorted), []
     else:  # the lattice holds every closed set but the full one
         closed = intermediate_subalgebras(spec).all_proper + tuple(
             J for J in asked.values() if len(J) == spec.s)
@@ -283,16 +293,22 @@ def _fill(contexts: Sequence[SigmaContext], Js: Sequence[SubalgebraIndexSet]) ->
         for J in asked.values():
             inside |= (masks & J.mask) == masks
         closed, masks = [K for K, keep in zip(closed, inside) if keep], masks[inside]
+        several = np.flatnonzero(masks & (masks - 1))
+        first = _first_components(spec, masks[several])
+        cut = first != masks[several]
+        if cut.any():
+            position = {K.mask: p for p, K in enumerate(closed)}
+            for p, low in zip(several[cut].tolist(), first[cut].tolist()):
+                rest = position[closed[p].mask & ~low]  # earlier: it has fewer members
+                split[p] = [position[low]] + split.get(rest, [rest])
+        solved = several[~cut].tolist()
 
     points = np.array(spec.d) * np.array([ctx.z for ctx in contexts])
     ratios = singleton_coefficients(spec) / points
-    skips = (_untied_linear(spec, masks, ratios) if masks is not None
-             else np.zeros((len(contexts), len(closed)), dtype=bool))
-    composite = [(ctx, K) for ctx, skip in zip(contexts, skips) for K, skipped in zip(closed, skip)
-                 if len(K) > 1 and not skipped and K.indices not in ctx._memo]
+    composite = [(ctx, closed[p]) for ctx in contexts for p in solved if closed[p].indices not in ctx._memo]
     reports = iter(maximize_hatS_on_slices(spec, [K for _, K in composite],
                                            [ctx.z for ctx, _ in composite], options) if composite else ())
-    for ctx, skip, point, ratio in zip(contexts, skips, points.tolist(), ratios.tolist()):
+    for ctx, point, ratio in zip(contexts, points.tolist(), ratios.tolist()):
         values = np.empty(len(closed))
         for p, K in enumerate(closed):
             result = ctx._memo.get(K.indices)
@@ -300,11 +316,11 @@ def _fill(contexts: Sequence[SigmaContext], Js: Sequence[SubalgebraIndexSet]) ->
                 if len(K) == 1:
                     i = K.sorted[0] - 1
                     result = SigmaResult(K, ratio[i], True, (point[i],), SigmaSource.CLOSED_FORM_IRREDUCIBLE)
+                elif p in split:
+                    result = _sigma_split(K, [ctx._memo[closed[q].indices] for q in split[p]])
                 else:
                     below = values[:p][(masks[:p] & masks[p]) == masks[:p]]
-                    bound = float(below.max()) if below.size else None
-                    result = (SigmaResult(K, bound, False, None, SigmaSource.BOUNDARY_RECURSION) if skip[p]
-                              else _sigma_composite(K, next(reports), bound))
+                    result = _sigma_composite(K, next(reports), float(below.max()) if below.size else None)
                 ctx._memo[K.indices] = result
             values[p] = result.value
 

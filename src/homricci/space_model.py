@@ -53,8 +53,12 @@ def parse_number(raw, field: str) -> float:
     overflow a float, raise :class:`SpecError` naming ``field``."""
     if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
         raise SpecError("expected a number or rational string", field)
+    num, slash, den = raw.partition("/") if isinstance(raw, str) else ("", "", "")
     try:
-        value = float(Fraction(raw)) if isinstance(raw, str) else float(raw)
+        if slash and (num + den).isascii() and num.isdigit() and den.isdigit():
+            value = int(num) / int(den)  # correctly rounded, as float(Fraction(raw)) is
+        else:
+            value = float(Fraction(raw)) if isinstance(raw, str) else float(raw)
     except (ValueError, ZeroDivisionError):
         raise SpecError(f"cannot parse {raw!r} as a number", field) from None
     except OverflowError:

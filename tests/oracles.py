@@ -68,8 +68,7 @@ def brute_force_ricci(spec: HomogeneousSpaceSpec, x) -> tuple[list[float], list[
 
 
 def central_difference_gradient(spec: HomogeneousSpaceSpec, x, rel_step: float = 1e-5) -> np.ndarray:
-    from homricci.curvature import scalar_curvature
-
+    """Central differences of :func:`brute_force_scalar_curvature`."""
     xs = np.array([float(v) for v in x])
     grad = np.zeros(spec.s)
     for m in range(spec.s):
@@ -78,7 +77,8 @@ def central_difference_gradient(spec: HomogeneousSpaceSpec, x, rel_step: float =
         lower = xs.copy()
         upper[m] += h
         lower[m] -= h
-        grad[m] = (scalar_curvature(spec, upper) - scalar_curvature(spec, lower)) / (2 * h)
+        upper_value = brute_force_scalar_curvature(spec, upper)
+        grad[m] = (upper_value - brute_force_scalar_curvature(spec, lower)) / (2 * h)
     return grad
 
 
@@ -248,6 +248,28 @@ def has_internal_bracket(spec: HomogeneousSpaceSpec, J) -> bool:
     """Some nonzero [ijk] has all three indices in J."""
     members = sorted(set(int(i) for i in J))
     return any(spec.constant(i, j, k) != 0.0 for i in members for j in members for k in members)
+
+
+def components(spec: HomogeneousSpaceSpec, J) -> list[frozenset[int]]:
+    """The bracket-connected components of J, ordered by smallest member:
+    union-find over the members, joining the indices of every nonzero [ijk]
+    with all three indices in J."""
+    members = set(int(i) for i in J)
+    parent = {i: i for i in members}
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for (i, j, k), value in spec.triples.entries:
+        if value != 0.0 and {i, j, k} <= members:
+            for other in (j, k):
+                parent[root(other)] = root(i)
+    groups: dict[int, set[int]] = {}
+    for i in members:
+        groups.setdefault(root(i), set()).add(i)
+    return sorted((frozenset(group) for group in groups.values()), key=min)
 
 
 def bracket_free_ratios(spec: HomogeneousSpaceSpec, J, z) -> list[float]:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from homricci.curvature import hat_scalar_curvature, metric_trace_of_T
 from homricci.sigma_apical import (
+    ATTAINMENT_TOLERANCE,
     BOUNDARY_ADJACENT_RATIO,
     NoProperSubalgebraError,
     SigmaContext,
@@ -19,7 +21,13 @@ from homricci.sigma_apical import (
     _sigma_composite,
 )
 from homricci.solver import OptimizationReport, SolverError, maximize_hatS_on_slices
-from homricci.space_model import SubalgebraIndexSet, load_space_spec, wallach_space
+from homricci.space_model import (
+    HomogeneousSpaceSpec,
+    StructureConstantTable,
+    SubalgebraIndexSet,
+    load_space_spec,
+    wallach_space,
+)
 from homricci.subalgebras import intermediate_subalgebras, maximal_within
 
 from oracles import (
@@ -28,6 +36,7 @@ from oracles import (
     bracket_free_supremum,
     brute_force_hat_curvature,
     complement_constant,
+    components,
     golden_section_max,
     has_internal_bracket,
     psi_peak_location,
@@ -367,15 +376,27 @@ def test_untied_bracket_free_members_are_decided_without_a_solve(monkeypatch):
     assert decided >= 200 and escaped >= 200 and kept >= 150, (decided, escaped, kept)
 
 
-def test_tied_bracket_free_pair_is_still_solved(monkeypatch):
+def _assert_witness_realises(spec, result, z):
+    """An attained sigma's witness lies on the slice of J and the oracle's
+    hatS there is the value."""
+    members = result.J.sorted
+    trace = sum(spec.d[i - 1] * z[i - 1] / y for i, y in zip(members, result.witness))
+    assert abs(trace - 1.0) < 1e-12, result
+    witnessed = brute_force_hat_curvature(spec, members, result.witness)
+    assert witnessed == pytest.approx(result.value, rel=1e-12, abs=0.0), result
+
+
+def test_tied_bracket_free_pair_is_attained_without_a_solve(monkeypatch):
     # no constants: every ratio is b_i / (2 z_i) = 1/2 at T = 1, hatS is
-    # constant on each slice and the solver's witness is kept
+    # constant on each slice, and the singleton witnesses scaled by 2, the
+    # point of weight 1/2 on each, witness the tie
     calls = _record_solves(monkeypatch)
     spec = load_space_spec({"name": "flat", "d": [2, 3, 5], "triples": []})
     result = sigma(spec, (1, 2), (1, 1, 1))
-    assert calls == [[(frozenset({1, 2}), (1.0, 1.0, 1.0))]]
-    assert result.attained and result.source is SigmaSource.INTERIOR_MAXIMUM
-    assert result.value == pytest.approx(0.5, rel=1e-12)
+    assert calls == []
+    assert (result.value, result.attained, result.source) == (0.5, True, SigmaSource.INTERIOR_MAXIMUM)
+    assert result.witness == (4.0, 6.0)
+    _assert_witness_realises(spec, result, (1, 1, 1))
 
 
 def test_fill_without_slices_calls_no_solver(g2, e6, monkeypatch):
@@ -415,10 +436,133 @@ def test_near_tied_bracket_free_pair_is_not_attained():
     assert not sigma(spec, (1, 2), T).attained
     verdict = existence_check(spec, T)
     assert verdict.apical.sorted == (1,) and verdict.sigma.value == 0.25
-    # exactly tied, hatS is constant on the slice and the solve is kept
+
+def test_exactly_tied_bracket_free_pair_is_attained_without_a_solve(monkeypatch):
+    # the ratios tie at 1/4, hatS is constant on the slice, and the pair
+    # is the pivot with the singleton witnesses (2,) and (2,) scaled by 2
+    calls = _record_solves(monkeypatch)
+    spec = load_space_spec({"name": "near_tie", "d": [2, 2, 2], "triples": [
+        {"i": 1, "j": 3, "k": 3, "value": 1}, {"i": 2, "j": 3, "k": 3, "value": 1}]})
     tied = existence_check(spec, (1, 1, 1)).sigma
-    assert (tied.J.sorted, tied.value, tied.attained, tied.witness) == (
-        (1, 2), 0.25, True, (2.1641699972477975, 26.36498792140695))
+    assert calls == []
+    assert (tied.J.sorted, tied.value, tied.attained, tied.witness) == ((1, 2), 0.25, True, (4.0, 4.0))
+    _assert_witness_realises(spec, tied, (1, 1, 1))
+
+
+# ---------------------------------------------------------------------------
+# disconnected subalgebras: sigma is the largest sigma of a component
+# ---------------------------------------------------------------------------
+
+
+def _lattice_fills(calls):
+    """(spec, context, rows, slices solved) for the whole lattice of each
+    seeded draw at T = 1, at a random T, and at the T where every singleton
+    with c_i > 0 has ratio c_i / (d_i z_i) = 1, so that components tie."""
+    rng = np.random.default_rng(1717)
+    for seed in (3, 17):
+        for spec in seeded_draws(seed):
+            lattice = intermediate_subalgebras(spec).all_proper
+            c = [brute_force_hat_curvature(spec, (i,), (1.0,)) for i in range(1, spec.s + 1)]
+            tied = tuple(ci / di if ci > 0 else 1.0 for ci, di in zip(c, spec.d))
+            for z in ((1.0,) * spec.s, tuple(rng.uniform(0.3, 3.0, spec.s)), tied):
+                calls.clear()
+                ctx = SigmaContext(spec, z)
+                rows = ctx.closed_sigmas(lattice)
+                yield spec, ctx, rows, {J for call in calls for J, _ in call}
+
+
+def test_only_connected_slices_reach_the_solver(monkeypatch):
+    calls = _record_solves(monkeypatch)
+    disconnected = connected = 0
+    for spec, ctx, rows, solved in _lattice_fills(calls):
+        for row in rows:
+            if len(row.J) > 1:
+                split = len(components(spec, row.J.sorted)) > 1
+                assert (row.J.indices in solved) is not split, (spec, ctx.z, row.J)
+                disconnected += split
+                connected += not split
+    assert disconnected >= 2000 and connected >= 200, (disconnected, connected)
+
+
+def test_disconnected_sigma_is_the_largest_component_sigma():
+    untied = tied = 0
+    for spec, ctx, rows, _ in _lattice_fills([]):
+        for row in rows:
+            parts = [ctx.sigma(K) for K in components(spec, row.J.sorted)]
+            if len(parts) < 2:
+                continue
+            top = max(part.value for part in parts)
+            where = (spec, ctx.z, row.J)
+            assert row.value == top, where
+            tol = ATTAINMENT_TOLERANCE * max(1.0, abs(top))
+            if not all(part.attained and part.value >= top - tol for part in parts):
+                assert (row.attained, row.witness, row.source) == (False, None, SigmaSource.BOUNDARY_RECURSION), where
+                untied += 1
+                continue
+            # the point of weight 1/m on each component's witness
+            assert row.attained and row.source is SigmaSource.INTERIOR_MAXIMUM, where
+            coords = {i: len(parts) * y for part in parts for i, y in zip(part.J.sorted, part.witness)}
+            assert row.witness == tuple(coords[i] for i in row.J.sorted), where
+            trace = sum(spec.d[i - 1] * ctx.z[i - 1] / y for i, y in zip(row.J.sorted, row.witness))
+            assert abs(trace - 1.0) < 1e-12, where
+            witnessed = brute_force_hat_curvature(spec, row.J.sorted, row.witness)
+            assert abs(witnessed - top) <= 2 * tol, where
+            tied += 1
+    assert untied >= 2000 and tied >= 15, (untied, tied)
+
+
+def _disjoint_union(A, B):
+    """A on summands 1..s_A and B on the rest, with no bracket between them."""
+    entries = dict(A.triples.entries)
+    entries.update({(i + A.s, j + A.s, k + A.s): v for (i, j, k), v in B.triples.entries})
+    return HomogeneousSpaceSpec(name=f"{A.name}+{B.name}", d=A.d + B.d, b=A.b + B.b,
+                                triples=StructureConstantTable.from_items(entries))
+
+
+def _union_pairs(g2, f4):
+    yield g2, f4, (1.0, 0.5, 1.2), (1.0, 2.0, 1.0, 1.0)
+    yield f4, g2, (1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0)
+    rng = np.random.default_rng(2323)
+    while True:
+        A, B = (random_space_spec(rng, max_summands=5, density=0.3) for _ in range(2))
+        if A.s + B.s <= 9:
+            yield A, B, tuple(rng.uniform(0.5, 2.0, A.s)), tuple(rng.uniform(0.5, 2.0, B.s))
+
+
+def test_disjoint_union_takes_the_larger_sigma(g2, f4):
+    # every closed set of the union is J_A + J_B with J_A, J_B closed or
+    # empty, and sigma(J_A + J_B) = max(sigma(J_A), sigma(J_B)) when both
+    # parts are non-empty; each part has the sigma it has in its own space
+    checked = verdicts = 0
+    for A, B, zA, zB in itertools.islice(_union_pairs(g2, f4), 16):
+        union, z = _disjoint_union(A, B), zA + zB
+        parts = [[frozenset()] + sorted(all_closed_subsets(X) | {frozenset(range(1, X.s + 1))}, key=sorted)
+                 for X in (A, B)]
+        expected = {JA | {i + A.s for i in JB} for JA in parts[0] for JB in parts[1]}
+        lattice = intermediate_subalgebras(union).all_proper
+        assert {J.indices for J in lattice} == expected - {frozenset(), frozenset(range(1, union.s + 1))}
+        ctx = SigmaContext(union, z)
+        for JA in parts[0][1:]:
+            for JB in parts[1][1:]:
+                shifted = sorted(i + A.s for i in JB)
+                alone = sigma(A, sorted(JA), zA).value, sigma(B, sorted(JB), zB).value
+                inside = ctx.sigma(sorted(JA)).value, ctx.sigma(shifted).value
+                assert inside == pytest.approx(alone, rel=1e-12, abs=1e-12), (A, B, JA, JB)
+                assert ctx.sigma(sorted(JA) + shifted).value == max(inside), (A, B, JA, JB)
+                checked += 1
+        verdict = existence_check(union, z)
+        if verdict.status is VerdictStatus.DEGENERATE_CONSTANT_RICCI:
+            continue
+        pivot = verdict.sigma
+        assert pivot.attained and pivot.J.indices in expected and pivot == ctx.sigma(pivot.J), (A, B)
+        for M in intermediate_subalgebras(union).maximal:
+            assert pivot.value >= ctx.sigma(M).value - 1e-9 * max(1.0, abs(pivot.value)), (A, B, M)
+        witnessed = brute_force_hat_curvature(union, pivot.J.sorted, pivot.witness)
+        assert abs(witnessed - pivot.value) <= 1e-9 * max(1.0, abs(pivot.value)), (A, B)
+        assert math.isclose(verdict.rhs, complement_constant(union, pivot.J.complement(union.s)),
+                            rel_tol=1e-12, abs_tol=1e-12)
+        verdicts += 1
+    assert checked >= 100 and verdicts >= 12, (checked, verdicts)
 
 
 @pytest.mark.parametrize("seed", [3, 17])

@@ -1,7 +1,9 @@
 import json
 import math
 from itertools import permutations
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from homricci.space_model import (
@@ -242,6 +244,42 @@ def test_parse_number_accepts_numbers_and_rationals():
 def test_parse_number_rejects_non_finite_and_non_numbers(raw):
     with pytest.raises(SpecError, match=r"^field\[3\]: "):
         parse_number(raw, "field[3]")
+
+
+def _parsed_by_fraction(raw: str):
+    """What parse_number gave before its p/q fast path: float(Fraction(raw)),
+    the SpecError message on a parse failure, or the non-finite message."""
+    from fractions import Fraction
+
+    try:
+        value = float(Fraction(raw))
+    except (ValueError, ZeroDivisionError):
+        return f"x: cannot parse {raw!r} as a number"
+    except OverflowError:
+        value = math.inf
+    return value.hex() if math.isfinite(value) else f"x: {raw!r} is not a finite number"
+
+
+def _parsed(raw: str):
+    try:
+        return parse_number(raw, "x").hex()
+    except SpecError as error:
+        return str(error)
+
+
+def test_rational_fast_path_matches_fraction_bit_for_bit():
+    corpus = json.loads((Path(__file__).parent / "data" / "verdict_corpus.json").read_text())["requests"]
+    strings = {t[3] for entry in corpus for t in entry["space"]["triples"]}
+    strings |= {f"{p}/{q}" for p in range(0, 60) for q in range(1, 60)}
+    rng = np.random.default_rng(2024)
+    strings |= {f"{rng.integers(1, 10 ** 18)}{rng.integers(0, 10 ** 18)}/{rng.integers(1, 10 ** 18)}"
+                for _ in range(2000)}
+    edges = [" 7/2", "7/2 ", "+7/2", "-7/2", "7 /2", "7/ 2", "1/0", "0/0", "00/5", "007/0003", "7/", "/2",
+             "/", "", "1/2/3", "1_000/3", "1e3/2", "1.5/2", "\uff11/\uff12", "\u00b2/3", "inf", "nan", "0/7",
+             "9" * 400 + "/1", "1/" + "9" * 400, "1" * 320 + "/" + "3" * 10, "1" * 5000 + "/3"]
+    assert len(strings) > 5000
+    for raw in sorted(strings) + edges:
+        assert _parsed(raw) == _parsed_by_fraction(raw), raw
 
 
 def _spec_document(**changes):
