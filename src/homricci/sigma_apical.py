@@ -3,10 +3,12 @@
 For an intermediate subalgebra J the quantity sigma(J, T) is the supremum of
 hatS over the unit-trace slice.  A single summand makes the slice one point
 and sigma has a closed form.  The nonzero [ijk] inside J split it into
-bracket-connected components.  On a connected J an interior maximization
-is compared with the bound, the largest sigma strictly inside J, to decide
-attainment.  A disconnected J needs no solve: its slice is the convex hull
-of its components' slices in u = 1/y, so sigma is their largest sigma.
+bracket-connected components.  A disconnected J needs no solve: its slice
+is the convex hull of its components' slices in u = 1/y, so sigma is their
+largest sigma.  Nor does a connected pair: hatS is strictly concave on its
+slice, and attains its supremum inside unless it leaves a closed singleton
+face with a slope within the attainment band.  A larger connected J compares
+an interior maximization with the bound, the largest sigma strictly inside J.
 
 The pivot of the existence test is a proper subalgebra whose sigma is
 attained and dominates the sigma of every maximal intermediate subalgebra.
@@ -20,12 +22,13 @@ inconclusive, never as non-existence.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .curvature import singleton_coefficients
+from .curvature import singleton_coefficients, slice_term_system
 from .solver import (
     OptimizationReport,
     SolverError,
@@ -172,7 +175,7 @@ class SigmaContext:
     The table is filled smallest-first: asking for J stores every closed
     set inside J not known yet in lattice order (size, then lexicographic),
     so a composite set finds its bound, the largest sigma strictly inside
-    it, already stored.  Their slices are solved in one
+    it, already stored.  The slices that need a solve are solved in one
     :func:`maximize_hatS_on_slices` call; :func:`solve_together` fills the
     existence tests of several contexts with one such call.  Not safe to
     share across threads.
@@ -221,20 +224,8 @@ def _sigma_composite(J: SubalgebraIndexSet, report: OptimizationReport, bound: f
         or report.value >= bound - ATTAINMENT_TOLERANCE * max(1.0, abs(bound))
     ):
         value = report.value if bound is None else max(report.value, bound)
-        return SigmaResult(
-            J=J,
-            value=value,
-            attained=True,
-            witness=report.argmax,
-            source=SigmaSource.INTERIOR_MAXIMUM,
-        )
-    return SigmaResult(
-        J=J,
-        value=bound,
-        attained=False,
-        witness=None,
-        source=SigmaSource.BOUNDARY_RECURSION,
-    )
+        return SigmaResult(J, value, True, report.argmax, SigmaSource.INTERIOR_MAXIMUM)
+    return SigmaResult(J, bound, False, None, SigmaSource.BOUNDARY_RECURSION)
 
 
 def _sigma_split(J: SubalgebraIndexSet, parts: Sequence[SigmaResult]) -> SigmaResult:
@@ -248,6 +239,51 @@ def _sigma_split(J: SubalgebraIndexSet, parts: Sequence[SigmaResult]) -> SigmaRe
         return SigmaResult(J, top, False, None, SigmaSource.BOUNDARY_RECURSION)
     coords = {i: len(parts) * y for r in parts for i, y in zip(r.J.sorted, r.witness)}
     return SigmaResult(J, top, True, tuple(coords[i] for i in J.sorted), SigmaSource.INTERIOR_MAXIMUM)
+
+
+def _sigma_pair(spec: HomogeneousSpaceSpec, K: SubalgebraIndexSet, point: Sequence[float],
+                bound: float | None) -> SigmaResult:
+    """sigma of a connected pair K = {i, j} from the points a = d_i z_i,
+    b = d_j z_j and ``bound``.  With t = a / y_i on the slice, hatS is
+    f(t) = A t + B (1-t) - P t^2/(1-t) - Q (1-t)^2/t with P, Q >= 0, and
+    f'(t) = C - P/(1-t)^2 + Q/t^2, C = A - B + P - Q, strictly decreases.
+    With Q = 0 the face t -> 0 is the closed {j}, and K is attained only
+    when f'(0+) = A - B exceeds the band; P = 0 mirrors it at t -> 1.  The
+    root is found in r = y_j / y_i, which stays moderate however unevenly T
+    is scaled; f' has the sign of h(r) below, with c = alpha b - beta a."""
+    system = slice_term_system(spec, K.sorted)
+    terms = dict(zip(map(tuple, system.exponents.tolist()), system.coefficients.tolist()))
+    a, b = (point[i - 1] for i in K.sorted)
+    alpha, beta, p, q = terms[-1, 0], terms[0, -1], -terms.get((-2, 1), 0.0), -terms.get((1, -2), 0.0)
+    band = ATTAINMENT_TOLERANCE * max(1.0, abs(alpha / a), abs(beta / b))
+    if (q == 0.0 and alpha / a - beta / b <= band) or (p == 0.0 and beta / b - alpha / a <= band):
+        return SigmaResult(K, bound, False, None, SigmaSource.BOUNDARY_RECURSION)
+    c = alpha * b - beta * a
+    if q == 0.0:  # the root of p a r^2 + 2 p b r = c > 0, that is t = 1 - sqrt(P / C)
+        r = c / (p * b + math.hypot(p * b, math.sqrt(p * a * c)))
+    elif p == 0.0:  # the root of -c r^2 = 2 q a r + q b, c < 0, that is t = sqrt(Q / -C)
+        r = (q * a + math.hypot(q * a, math.sqrt(-c * q * b))) / -c
+    else:  # safeguarded Newton on h in log r, bisecting where a step leaves the bracket or stalls
+        lo = math.log(min((q * b / (3.0 * p * a)) ** 0.25, (q / (6.0 * p)) ** (1 / 3),
+                          math.sqrt(q * b / (-3.0 * c)) if c < 0.0 else math.inf))
+        hi = math.log(max((3.0 * q * b / (p * a)) ** 0.25, (6.0 * q / p) ** (1 / 3),
+                          math.sqrt(3.0 * c / (p * a)) if c > 0.0 else 0.0))
+        w, moved = 0.5 * (lo + hi), hi - lo
+        for _ in range(100):
+            r = math.exp(w)
+            h = c - p * a * r * r - 2.0 * p * b * r + 2.0 * q * a / r + q * b / (r * r)
+            lo, hi = (w, hi) if h > 0.0 else (lo, w)
+            step = h / (2.0 * (p * a * r * r + p * b * r + q * a / r + q * b / (r * r)))
+            if abs(step) <= 1e-12 * max(1.0, abs(w)):  # converging quadratically: the last step
+                w += step
+                break
+            if not (lo < w + step < hi and 2.0 * abs(step) < moved):
+                step = 0.5 * (lo + hi) - w
+            w, moved = w + step, abs(step)
+        r = math.exp(w)
+    value = (alpha * r + beta - p * r * r - q / r) / (a * r + b)
+    value = value if bound is None else max(value, bound)
+    return SigmaResult(K, value, True, (a + b / r, a * r + b), SigmaSource.INTERIOR_MAXIMUM)
 
 
 def _first_components(spec: HomogeneousSpaceSpec, masks: np.ndarray) -> np.ndarray:
@@ -271,7 +307,9 @@ def _fill(contexts: Sequence[SigmaContext], Js: Sequence[SubalgebraIndexSet]) ->
     alone need no lattice; each takes its closed form from the points
     d_i z_i and ratios c_i / (d_i z_i) divided once per fill.  A composite
     set split into components by its internal brackets takes
-    :func:`_sigma_split` of theirs, stored earlier in lattice order; the
+    :func:`_sigma_split` of theirs, stored earlier in lattice order.  A
+    connected pair takes :func:`_sigma_pair`, unattained when its slope off
+    a closed singleton face is within the attainment band; the larger
     connected ones share one slice solve.
 
     A stored sigma is its bound or more, so sigma never decreases along
@@ -286,13 +324,13 @@ def _fill(contexts: Sequence[SigmaContext], Js: Sequence[SubalgebraIndexSet]) ->
     if all(len(J) == 1 for J in asked.values()):
         closed, solved = sorted(asked.values(), key=lambda J: J.sorted), []
     else:  # the lattice holds every closed set but the full one
-        closed = intermediate_subalgebras(spec).all_proper + tuple(
-            J for J in asked.values() if len(J) == spec.s)
-        masks = np.array([K.mask for K in closed], dtype=np.int64)
+        lattice, full = intermediate_subalgebras(spec), [J for J in asked.values() if len(J) == spec.s]
+        closed = lattice.all_proper + tuple(full)
+        masks = np.append(lattice.masks, np.array([J.mask for J in full], dtype=np.int64))
         inside = np.zeros(len(closed), dtype=bool)
         for J in asked.values():
             inside |= (masks & J.mask) == masks
-        closed, masks = [K for K, keep in zip(closed, inside) if keep], masks[inside]
+        closed, masks = [closed[p] for p in np.flatnonzero(inside).tolist()], masks[inside]
         several = np.flatnonzero(masks & (masks - 1))
         first = _first_components(spec, masks[several])
         cut = first != masks[several]
@@ -301,7 +339,7 @@ def _fill(contexts: Sequence[SigmaContext], Js: Sequence[SubalgebraIndexSet]) ->
             for p, low in zip(several[cut].tolist(), first[cut].tolist()):
                 rest = position[closed[p].mask & ~low]  # earlier: it has fewer members
                 split[p] = [position[low]] + split.get(rest, [rest])
-        solved = several[~cut].tolist()
+        solved = [p for p in several[~cut].tolist() if len(closed[p]) > 2]
 
     points = np.array(spec.d) * np.array([ctx.z for ctx in contexts])
     ratios = singleton_coefficients(spec) / points
@@ -320,7 +358,9 @@ def _fill(contexts: Sequence[SigmaContext], Js: Sequence[SubalgebraIndexSet]) ->
                     result = _sigma_split(K, [ctx._memo[closed[q].indices] for q in split[p]])
                 else:
                     below = values[:p][(masks[:p] & masks[p]) == masks[:p]]
-                    result = _sigma_composite(K, next(reports), float(below.max()) if below.size else None)
+                    bound = float(below.max()) if below.size else None
+                    result = (_sigma_pair(spec, K, point, bound) if len(K) == 2
+                              else _sigma_composite(K, next(reports), bound))
                 ctx._memo[K.indices] = result
             values[p] = result.value
 

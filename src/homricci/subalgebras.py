@@ -14,7 +14,7 @@ kept until the spec itself is garbage collected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
 
 import numpy as np
@@ -93,11 +93,13 @@ class SubalgebraLattice:
     """All proper intermediate subalgebras and the maximal ones among them.
 
     Both listings are sorted by size then lexicographically, so iteration
-    order is reproducible.
+    order is reproducible.  ``masks`` holds the mask of each member of
+    ``all_proper``, in its order, as one read-only int64 array.
     """
 
     all_proper: tuple[SubalgebraIndexSet, ...]
     maximal: tuple[SubalgebraIndexSet, ...]
+    masks: np.ndarray = field(compare=False, repr=False)
 
 
 def _sort_key(J: SubalgebraIndexSet):
@@ -145,7 +147,9 @@ def _closed_masks(spec: HomogeneousSpaceSpec) -> list[int]:
 @memoize_per_spec
 def _lattice(spec: HomogeneousSpaceSpec) -> SubalgebraLattice:
     closed = sorted(map(SubalgebraIndexSet.from_mask, _closed_masks(spec)), key=_sort_key)
-    return SubalgebraLattice(all_proper=tuple(closed), maximal=tuple(_maximal(closed)))
+    masks = np.array([J.mask for J in closed], dtype=np.int64)
+    masks.flags.writeable = False
+    return SubalgebraLattice(all_proper=tuple(closed), maximal=tuple(_maximal(closed)), masks=masks)
 
 
 def intermediate_subalgebras(spec: HomogeneousSpaceSpec) -> SubalgebraLattice:
@@ -158,17 +162,13 @@ def intermediate_subalgebras(spec: HomogeneousSpaceSpec) -> SubalgebraLattice:
 def maximal_within(spec: HomogeneousSpaceSpec, J) -> list[SubalgebraIndexSet]:
     """Bracket-closed proper non-empty subsets of J, maximal under inclusion.
 
-    The subsets are read off the spec's lattice, and the same scan decides
-    that J is closed: J is the full set or a lattice member.
+    The subsets are read off the spec's lattice by one test on its mask
+    array, and the same test decides that J is closed: J is the full set
+    or the last (largest) lattice member inside J.
     """
     Jset = SubalgebraIndexSet.from_iterable(resolve_indices(spec, J))
-    closed = Jset.mask == (1 << spec.s) - 1
-    inside = []
-    for K in intermediate_subalgebras(spec).all_proper:
-        if K.mask == Jset.mask:
-            closed = True
-        elif K.mask & Jset.mask == K.mask:
-            inside.append(K)
-    if not closed:
+    lattice, mask = intermediate_subalgebras(spec), Jset.mask
+    inside = [lattice.all_proper[p] for p in np.flatnonzero((lattice.masks | mask) == mask).tolist()]
+    if mask != (1 << spec.s) - 1 and (not inside or inside.pop().mask != mask):
         raise ValueError(f"index set {Jset} is not bracket-closed")
     return _maximal(inside)

@@ -464,11 +464,23 @@ def test_sweep_solve_errors_become_error_rows(capsys, monkeypatch):
     assert "z=2,1,1: injected failure" in err
 
 
-def test_sweep_failed_slice_gives_one_error_row(capsys, monkeypatch):
+def _triangle(tmp_path, *extra):
+    """A space file on four summands whose brackets [112], [223] and [133]
+    join {1,2,3} into one closed set with nothing closed inside it, so its
+    sigma takes a slice solve; ``extra`` adds (i, j, k) triples of value 1."""
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps({
+        "name": "triangle", "d": [2, 2, 2, 2],
+        "triples": [{"i": i, "j": j, "k": k, "value": 1} for i, j, k in ((1, 1, 2), (2, 2, 3), (1, 3, 3)) + extra],
+    }))
+    return path
+
+
+def test_sweep_failed_slice_gives_one_error_row(capsys, monkeypatch, tmp_path):
     import homricci.sigma_apical as sigma_apical
     from homricci.solver import SolverError
 
-    args = ("sweep", "--builtin", "F4_SU3xSU2xU1", "--T", "1,1,1,1", "--grid", "1=1:3:3")
+    args = ("sweep", "--space", str(_triangle(tmp_path)), "--T", "1,1,1,1", "--grid", "1=1:3:3")
     _, healthy, _ = invoke(capsys, *args)
     real = sigma_apical.maximize_hatS_on_slices
 
@@ -487,20 +499,14 @@ def test_sweep_failed_slice_gives_one_error_row(capsys, monkeypatch):
 
 
 def test_sweep_failed_attainment_gives_one_error_row(capsys, monkeypatch, tmp_path):
-    # {1,2} is the only subalgebra and holds no smaller one, so a slice that
-    # does not converge leaves its sigma undecided; the points solved
-    # together with the failing one keep their rows
+    # [144] leaves {1,2,3} the only subalgebra, and it holds no smaller one,
+    # so a slice that does not converge leaves its sigma undecided; the
+    # points solved together with the failing one keep their rows
     import dataclasses
 
     import homricci.sigma_apical as sigma_apical
 
-    path = tmp_path / "pair.json"
-    path.write_text(json.dumps({
-        "name": "pair", "d": [2, 2, 2],
-        "triples": [{"i": 1, "j": 1, "k": 2, "value": 1}, {"i": 1, "j": 2, "k": 2, "value": 1},
-                    {"i": 1, "j": 3, "k": 3, "value": 1}],
-    }))
-    args = ("sweep", "--space", str(path), "--T", "1,1,1", "--grid", "1=1:3:3")
+    args = ("sweep", "--space", str(_triangle(tmp_path, (1, 4, 4))), "--T", "1,1,1,1", "--grid", "1=1:3:3")
     _, healthy, _ = invoke(capsys, *args)
     real = sigma_apical.maximize_hatS_on_slices
 
@@ -514,30 +520,26 @@ def test_sweep_failed_attainment_gives_one_error_row(capsys, monkeypatch, tmp_pa
     assert code == EXIT_OK
     lines, expected = out.splitlines(), healthy.splitlines()
     assert [lines[0], lines[1], lines[3]] == [expected[0], expected[1], expected[3]]
-    assert "error" not in healthy and lines[2] == "2,1,1,error,,,"
-    assert err == ("z=2,1,1: interior maximization failed on {1,2} and it has no proper "
+    assert "error" not in healthy and lines[2] == "2,1,1,1,error,,,"
+    assert err == ("z=2,1,1,1: interior maximization failed on {1,2,3} and it has no proper "
                    "subalgebra to recurse into: injected\n")
 
 
 def test_check_numerical_failure_is_exit_3(capsys, monkeypatch, tmp_path):
-    # the lattice is {3} and {1,2}; nothing closed lies inside {1,2}, so a
-    # slice solve that stalls leaves its sigma undecided.  A descent
+    # the lattice is {4} and {1,2,3}; nothing closed lies inside {1,2,3}, so
+    # a slice solve that stalls leaves its sigma undecided.  A descent
     # direction fails every Armijo test, so every restart stalls.
     import homricci.solver as solver
 
-    path = tmp_path / "pair.json"
-    path.write_text(json.dumps({
-        "name": "pair", "d": [2, 2, 2],
-        "triples": [{"i": 1, "j": 1, "k": 2, "value": 1}, {"i": 1, "j": 2, "k": 2, "value": 1}],
-    }))
+    path = _triangle(tmp_path)
     monkeypatch.setattr(solver._SliceProblem, "ascent_direction", lambda self, G, gp, *rest: -gp)
-    code, out, err = invoke(capsys, "check", "--space", str(path), "--T", "1,1,1")
+    code, out, err = invoke(capsys, "check", "--space", str(path), "--T", "1,1,1,1")
     assert (code, out) == (EXIT_NUMERICAL_FAILURE, "")
-    assert err == ("numerical failure: interior maximization failed on {1,2} and it has no proper "
+    assert err == ("numerical failure: interior maximization failed on {1,2,3} and it has no proper "
                    "subalgebra to recurse into: 16/16 restarts stalled in the line search\n")
-    code, out, _ = invoke(capsys, "sweep", "--space", str(path), "--T", "1,1,1", "--grid", "1=1:2:2")
+    code, out, _ = invoke(capsys, "sweep", "--space", str(path), "--T", "1,1,1,1", "--grid", "1=1:2:2")
     assert code == EXIT_OK
-    assert out.splitlines()[1:] == ["1,1,1,error,,,", "2,1,1,error,,,"]
+    assert out.splitlines()[1:] == ["1,1,1,1,error,,,", "2,1,1,1,error,,,"]
 
 
 def test_sweep_rows_match_single_checks(capsys, tmp_path):

@@ -39,6 +39,7 @@ from oracles import (
     components,
     golden_section_max,
     has_internal_bracket,
+    is_closed_subset,
     psi_peak_location,
     psi_peak_value,
     psi_slice_value,
@@ -459,7 +460,7 @@ def _lattice_fills(calls):
     seeded draw at T = 1, at a random T, and at the T where every singleton
     with c_i > 0 has ratio c_i / (d_i z_i) = 1, so that components tie."""
     rng = np.random.default_rng(1717)
-    for seed in (3, 17):
+    for seed in (3, 17, 7):
         for spec in seeded_draws(seed):
             lattice = intermediate_subalgebras(spec).all_proper
             c = [brute_force_hat_curvature(spec, (i,), (1.0,)) for i in range(1, spec.s + 1)]
@@ -472,16 +473,19 @@ def _lattice_fills(calls):
 
 
 def test_only_connected_slices_reach_the_solver(monkeypatch):
+    # a pair is decided in closed form whether or not it is connected
     calls = _record_solves(monkeypatch)
-    disconnected = connected = 0
+    disconnected = pairs = connected = 0
     for spec, ctx, rows, solved in _lattice_fills(calls):
         for row in rows:
             if len(row.J) > 1:
                 split = len(components(spec, row.J.sorted)) > 1
-                assert (row.J.indices in solved) is not split, (spec, ctx.z, row.J)
+                pair = len(row.J) == 2 and not split
+                assert (row.J.indices in solved) is not (split or pair), (spec, ctx.z, row.J)
                 disconnected += split
-                connected += not split
-    assert disconnected >= 2000 and connected >= 200, (disconnected, connected)
+                pairs += pair
+                connected += not (split or pair)
+    assert disconnected >= 2000 and pairs >= 100 and connected >= 100, (disconnected, pairs, connected)
 
 
 def test_disconnected_sigma_is_the_largest_component_sigma():
@@ -563,6 +567,107 @@ def test_disjoint_union_takes_the_larger_sigma(g2, f4):
                             rel_tol=1e-12, abs_tol=1e-12)
         verdicts += 1
     assert checked >= 100 and verdicts >= 12, (checked, verdicts)
+
+
+# ---------------------------------------------------------------------------
+# connected pairs: on the slice segment hatS is strictly concave in u = 1/y
+# ---------------------------------------------------------------------------
+
+
+def test_f4_pair_is_attained_below_seven_quarters(f4, monkeypatch):
+    # {2,4} peaks inside its slice exactly when z2/z4 < 7/4; from there on
+    # the supremum is the face {4}, sigma({4}) = 2 / (9 z4), and no slice
+    # of F4 is solved on either side
+    calls = _record_solves(monkeypatch)
+    for z4 in (0.6, 1.0, 2.5):
+        for ratio in (0.3, 1.0, 1.5, 1.74, 1.749, 1.75, 1.751, 1.76, 2.0, 5.0):
+            z = (1.0, ratio * z4, 1.0, z4)
+            result = sigma(f4, (2, 4), z)
+            if ratio < 1.75:
+                assert result.attained and result.source is SigmaSource.INTERIOR_MAXIMUM, z
+                assert result.value == pytest.approx(psi_peak_value(z[1], z4), rel=1e-12), z
+                assert result.witness[1] == pytest.approx(psi_peak_location(z[1], z4), rel=1e-12), z
+                _assert_witness_realises(f4, result, z)
+            else:
+                assert (result.attained, result.witness, result.source) == (
+                    False, None, SigmaSource.BOUNDARY_RECURSION), z
+                assert result.value == sigma(f4, (4,), z).value == pytest.approx(2 / (9 * z4), rel=1e-14), z
+    # at z2 = 7/4 (1 - delta), z4 = 1, hatS leaves the face with slope
+    # (2/9) delta / (1 - delta): attained above the band 1e-9, a tie below it
+    assert sigma(f4, (2, 4), (1.0, 1.75 * (1.0 - 1e-7), 1.0, 1.0)).attained
+    assert not sigma(f4, (2, 4), (1.0, 1.75 * (1.0 - 1e-9), 1.0, 1.0)).attained
+    assert calls == []
+
+
+def _connected_pairs():
+    """(spec, pair, z) for every connected closed pair of the seeded draws,
+    at T = 1 and at a random T."""
+    rng = np.random.default_rng(1818)
+    for seed in (3, 17, 7):
+        for spec in seeded_draws(seed):
+            lattice = intermediate_subalgebras(spec).all_proper
+            pairs = [J.sorted for J in lattice if len(J) == 2 and len(components(spec, J.sorted)) == 1]
+            for z in ((1.0,) * spec.s, tuple(rng.uniform(0.3, 3.0, spec.s))):
+                for J in pairs:
+                    yield spec, J, z
+
+
+def test_connected_pair_matches_golden_section_on_its_segment(monkeypatch):
+    # with t = d_i z_i / y_i the slice is the segment 0 < t < 1; the oracle
+    # maximises hatS along it by golden section, and a face t -> 0 or 1 that
+    # is a closed singleton has that singleton's hatS as its limit
+    calls = _record_solves(monkeypatch)
+    attained = unattained = 0
+    for spec, J, z in _connected_pairs():
+        a, b = (spec.d[i - 1] * z[i - 1] for i in J)
+        _, interior = golden_section_max(
+            lambda t: brute_force_hat_curvature(spec, J, (a / t, b / (1.0 - t))), 1e-9, 1.0 - 1e-9)
+        faces = [brute_force_hat_curvature(spec, (i,), (spec.d[i - 1] * z[i - 1],))
+                 for i in J if is_closed_subset(spec, {i})]
+        limit = max(faces, default=-math.inf)
+        result = sigma(spec, J, z)
+        where = (spec, J, z)
+        assert result.value == pytest.approx(max(interior, limit), rel=1e-12, abs=0.0), where
+        assert result.attained is (interior > limit), where
+        if result.attained:
+            _assert_witness_realises(spec, result, z)
+            attained += 1
+        else:
+            assert (result.witness, result.source) == (None, SigmaSource.BOUNDARY_RECURSION), where
+            unattained += 1
+    assert calls == []
+    assert attained >= 30 and unattained >= 50, (attained, unattained)
+
+
+def test_connected_pair_is_exact_under_uneven_scaling():
+    # z_i and z_j far apart put the peak within 1e-150 of a face in t, but
+    # not in the ratio y_j / y_i; sampled along the slice by that ratio, no
+    # point beats sigma, and the witness realises it (y stays below 1e151,
+    # where the oracle's products y_i y_j are finite)
+    spec = load_space_spec({"name": "uneven", "d": [2, 3, 2], "triples": [
+        {"i": 1, "j": 1, "k": 2, "value": 1}, {"i": 1, "j": 2, "k": 2, "value": 0.5},
+        {"i": 1, "j": 3, "k": 3, "value": 1}]})
+    for z in ((1e150, 1.0, 1.0), (1.0, 1e150, 1.0), (1e-150, 1.0, 1.0), (1.0, 1e-150, 1.0), (1e-300, 1.0, 1.0)):
+        result = sigma(spec, (1, 2), z)
+        a, b = 2.0 * z[0], 3.0 * z[1]
+        sampled = max(brute_force_hat_curvature(spec, (1, 2), (a + b / r, a * r + b))
+                      for r in np.logspace(-6.0, 6.0, 1201))
+        assert result.attained and sampled <= result.value * (1.0 + 1e-12), (z, result.value, sampled)
+        _assert_witness_realises(spec, result, z)
+
+
+def test_flat_ray_at_a_face_is_not_attained():
+    # every singleton ratio is 1 here, and [122] is the only bracket inside
+    # {1,2}: hatS on its slice leaves the face {1} with slope 0, so the
+    # supremum stays on the face.  A solve stopped on that flat ray and
+    # made {1,2} an attained pivot with margin 0.0 at a witness (1.07, 4.6e5).
+    spec = next(seeded_draws(6))
+    c = [brute_force_hat_curvature(spec, (i,), (1.0,)) for i in range(1, spec.s + 1)]
+    z = tuple(ci / di for ci, di in zip(c, spec.d))
+    pair = sigma(spec, (1, 2), z)
+    assert (pair.value, pair.attained, pair.witness) == (sigma(spec, (1,), z).value, False, None)
+    verdict = existence_check(spec, z)
+    assert verdict.apical.sorted == (1,) and verdict.status is VerdictStatus.INCONCLUSIVE
 
 
 @pytest.mark.parametrize("seed", [3, 17])
