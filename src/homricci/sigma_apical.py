@@ -200,9 +200,13 @@ class SigmaContext:
 
     def closed_sigmas(self, Js: Sequence[SubalgebraIndexSet]) -> list[SigmaResult]:
         """:meth:`sigmas` of sets known to be bracket-closed, such as lattice
-        members, without testing their closure again."""
-        _fill([self], Js)
-        return [self._memo[J.indices] for J in Js]
+        members, without testing their closure again.  Sets all stored
+        already are answered from the memo without a fill."""
+        try:
+            return [self._memo[J.indices] for J in Js]
+        except KeyError:
+            _fill([self], Js)
+            return [self._memo[J.indices] for J in Js]
 
 
 def _sigma_composite(J: SubalgebraIndexSet, report: OptimizationReport, bound: float | None) -> SigmaResult:

@@ -21,6 +21,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -47,18 +48,25 @@ class SpecError(ValueError):
         super().__init__(message if field is None else f"{field}: {message}")
 
 
-def parse_number(raw, field: str) -> float:
+def parse_number(raw, field: str | None) -> float:
     """The value of a JSON number or of a decimal or rational string such as
     ``" 1.5"`` or ``"7/2"``.  Booleans, and values that are not finite or
     overflow a float, raise :class:`SpecError` naming ``field``."""
     if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
         raise SpecError("expected a number or rational string", field)
-    num, slash, den = raw.partition("/") if isinstance(raw, str) else ("", "", "")
     try:
-        if slash and (num + den).isascii() and num.isdigit() and den.isdigit():
-            value = int(num) / int(den)  # correctly rounded, as float(Fraction(raw)) is
+        if not isinstance(raw, str):
+            value = float(raw)
         else:
-            value = float(Fraction(raw)) if isinstance(raw, str) else float(raw)
+            num, slash, den = raw.partition("/") if raw.isascii() else ("", "", "")
+            if num.isdigit() and den.isdigit():
+                value = int(num) / int(den)  # correctly rounded, as float(Fraction(raw)) is
+            elif not slash and len(num) <= 640 and num.replace(".", "", 1).isdigit():
+                # a plain decimal, correctly rounded too; Fraction's int parts
+                # could fail only the int digit limit, which is never below 640
+                value = float(num)
+            else:
+                value = float(Fraction(raw))
     except (ValueError, ZeroDivisionError):
         raise SpecError(f"cannot parse {raw!r} as a number", field) from None
     except OverflowError:
@@ -66,6 +74,17 @@ def parse_number(raw, field: str) -> float:
     if not math.isfinite(value):
         raise SpecError(f"{raw!r} is not a finite number", field)
     return value
+
+
+def _is_index(idx) -> bool:
+    return isinstance(idx, int) and not isinstance(idx, bool)
+
+
+def _multiset(key) -> tuple[int, int, int]:
+    """``key`` sorted, checked to hold integers."""
+    if not all(map(_is_index, key)):
+        raise SpecError("index must be an integer", f"triples[{key}]")
+    return tuple(sorted(key))
 
 
 @dataclass(frozen=True)
@@ -80,15 +99,19 @@ class StructureConstantTable:
 
     @classmethod
     def from_items(cls, items: Mapping[tuple[int, int, int], float] | Iterable) -> "StructureConstantTable":
-        """Table from (i, j, k) keys in any order and values that
+        """Table from (i, j, k) keys of integers in any order and values that
         :func:`parse_number` reads; index ranges are the spec's to check."""
         pairs = items.items() if isinstance(items, Mapping) else items
         seen: dict[tuple[int, int, int], float] = {}
         for key, raw in pairs:
-            multiset = tuple(sorted(int(k) for k in key))
+            i, j, k = key
+            multiset = (i, j, k) if int is type(i) is type(j) is type(k) and i <= j <= k else _multiset(key)
             if multiset in seen:
                 raise SpecError("duplicate multiset", f"triples[{multiset}]")
-            value = parse_number(raw, f"triples[{multiset}].value")
+            try:
+                value = parse_number(raw, None)
+            except SpecError as error:
+                raise SpecError(str(error), f"triples[{multiset}].value") from None
             if value < 0:
                 raise SpecError("negative structure constant", f"triples[{multiset}].value")
             seen[multiset] = value
@@ -142,10 +165,10 @@ class HomogeneousSpaceSpec:
                 raise SpecError("Killing coefficient must be non-negative", f"b[{pos + 1}]")
         object.__setattr__(self, "b", b)
         s = len(self.d)
-        for multiset, _ in self.triples.entries:
-            for idx in multiset:
-                if not 1 <= idx <= s:
-                    raise SpecError(f"index {idx} out of range 1..{s}", f"triples[{multiset}]")
+        indices = set(chain.from_iterable(multiset for multiset, _ in self.triples.entries))
+        if indices and not (min(indices) >= 1 and max(indices) <= s):
+            multiset, idx = next((m, i) for m, _ in self.triples.entries for i in m if not 1 <= i <= s)
+            raise SpecError(f"index {idx} out of range 1..{s}", f"triples[{multiset}]")
 
     def __hash__(self) -> int:
         # equal specs share name and d; the constant table is left out
@@ -224,7 +247,7 @@ class SubalgebraIndexSet:
     def complement(self, s: int) -> frozenset[int]:
         return frozenset(range(1, s + 1)) - self.indices
 
-    @property
+    @cached_property
     def sorted(self) -> tuple[int, ...]:
         return tuple(sorted(self.indices))
 
@@ -312,23 +335,29 @@ def load_space_spec(document: str | bytes | dict) -> HomogeneousSpaceSpec:
     raw_triples = document.get("triples", [])
     if not isinstance(raw_triples, list):
         raise SpecError("must be an array of entries", "triples")
-    items = []
-    for pos, entry in enumerate(raw_triples):
-        path = f"triples[{pos}]"
-        if not isinstance(entry, dict):
-            raise SpecError("entry must be an object", path)
-        for key in ("i", "j", "k", "value"):
-            if key not in entry:
-                raise SpecError(f"missing key {key!r}", path)
-        ijk = (entry["i"], entry["j"], entry["k"])
-        for label, idx in zip("ijk", ijk):
-            if isinstance(idx, bool) or not isinstance(idx, int):
-                raise SpecError("index must be an integer", f"{path}.{label}")
-        if not ijk[0] <= ijk[1] <= ijk[2]:
-            raise SpecError("indices must satisfy i <= j <= k", path)
-        items.append((ijk, entry["value"]))
     return HomogeneousSpaceSpec(name=document.get("name"), d=d, b=b,
-                                triples=StructureConstantTable.from_items(items))
+                                triples=StructureConstantTable.from_items(_file_items(raw_triples)))
+
+
+def _file_items(raw_triples: list):
+    """(i, j, k) and value of each file entry, checked for shape as
+    :class:`StructureConstantTable` reads them, so the triples are walked once."""
+    for pos, entry in enumerate(raw_triples):
+        if not isinstance(entry, dict):
+            raise SpecError("entry must be an object", f"triples[{pos}]")
+        try:
+            ijk, raw = (entry["i"], entry["j"], entry["k"]), entry["value"]
+        except KeyError:
+            missing = next(key for key in ("i", "j", "k", "value") if key not in entry)
+            raise SpecError(f"missing key {missing!r}", f"triples[{pos}]") from None
+        i, j, k = ijk
+        if not (int is type(i) is type(j) is type(k) and i <= j <= k):
+            for label, idx in zip("ijk", ijk):
+                if not _is_index(idx):
+                    raise SpecError("index must be an integer", f"triples[{pos}].{label}")
+            if not i <= j <= k:
+                raise SpecError("indices must satisfy i <= j <= k", f"triples[{pos}]")
+        yield ijk, raw
 
 
 def space_spec_to_document(spec: HomogeneousSpaceSpec) -> dict:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from homricci.cli import EXIT_INVALID_INPUT, run
 from homricci.space_model import (
     HomogeneousSpaceSpec,
     SpecError,
@@ -247,7 +248,7 @@ def test_parse_number_rejects_non_finite_and_non_numbers(raw):
 
 
 def _parsed_by_fraction(raw: str):
-    """What parse_number gave before its p/q fast path: float(Fraction(raw)),
+    """What parse_number gave before its p/q and decimal fast paths: float(Fraction(raw)),
     the SpecError message on a parse failure, or the non-finite message."""
     from fractions import Fraction
 
@@ -277,7 +278,16 @@ def test_rational_fast_path_matches_fraction_bit_for_bit():
     edges = [" 7/2", "7/2 ", "+7/2", "-7/2", "7 /2", "7/ 2", "1/0", "0/0", "00/5", "007/0003", "7/", "/2",
              "/", "", "1/2/3", "1_000/3", "1e3/2", "1.5/2", "\uff11/\uff12", "\u00b2/3", "inf", "nan", "0/7",
              "9" * 400 + "/1", "1/" + "9" * 400, "1" * 320 + "/" + "3" * 10, "1" * 5000 + "/3"]
-    assert len(strings) > 5000
+    strings |= {"%.4f" % value for value in rng.uniform(0, 10 ** rng.uniform(-3, 6, 2000))}
+    for n in rng.integers(1, 700, 300).tolist():
+        digits = "".join(map(str, rng.integers(0, 10, n).tolist()))
+        dot = int(rng.integers(0, n + 1))
+        strings |= {digits, digits[:dot] + "." + digits[dot:]}
+    edges += ["1.", ".5", "00.10", "0." + "0" * 400 + "1", "9" * 400, "9" * 400 + ".5", " 1.5", "1.5 ", "+1.5",
+              "-1.5", "1e3", "1.5e3", "1_0", "1_0.5", ".", "..5", "1.5.", "1.2.3", "", "1" * 640, "1" * 641,
+              "0." + "1" * 638, "1" * 4301 + ".5", "0." + "1" * 4301, "\uff11.\uff15", "\u0661.\u0665",
+              "\u0663\u0662\u0661", "\u00b2.5", "1.\u00b2"]
+    assert len(strings) > 7500
     for raw in sorted(strings) + edges:
         assert _parsed(raw) == _parsed_by_fraction(raw), raw
 
@@ -320,3 +330,53 @@ def test_direct_and_loaded_specs_share_one_validator(changes, message):
 def test_structure_constants_accept_rational_strings():
     table = StructureConstantTable.from_items({(3, 1, 2): "7/2", (1, 1, 2): " 2/3"})
     assert table.entries == (((1, 1, 2), 2 / 3), ((1, 2, 3), 3.5))
+
+
+def _entry(**changes):
+    return {"i": 1, "j": 2, "k": 3, "value": 0.5, **changes}
+
+
+LOADER_ERRORS = [
+    ({"i": 1}, "triples: must be an array of entries"),
+    ([[1, 2, 3, 0.5]], "triples[0]: entry must be an object"),
+    ([{"j": 2, "k": 3, "value": 1}], "triples[0]: missing key 'i'"),
+    ([{"i": 1, "k": 3, "value": 1}], "triples[0]: missing key 'j'"),
+    ([{"i": 1, "j": 2, "value": 1}], "triples[0]: missing key 'k'"),
+    ([{"i": 1, "j": 2, "k": 3}], "triples[0]: missing key 'value'"),
+    ([_entry(), {"i": 1, "j": 1, "k": 2}], "triples[1]: missing key 'value'"),
+    ([_entry(i=True)], "triples[0].i: index must be an integer"),
+    ([_entry(i=1.0)], "triples[0].i: index must be an integer"),
+    ([_entry(j=2.5)], "triples[0].j: index must be an integer"),
+    ([_entry(k="3")], "triples[0].k: index must be an integer"),
+    ([_entry(i=2, j=1)], "triples[0]: indices must satisfy i <= j <= k"),
+    ([_entry(value="abc")], "triples[(1, 2, 3)].value: cannot parse 'abc' as a number"),
+    ([_entry(value="inf")], "triples[(1, 2, 3)].value: cannot parse 'inf' as a number"),
+    ([_entry(value="1/0")], "triples[(1, 2, 3)].value: cannot parse '1/0' as a number"),
+    ([_entry(), _entry(value=0.25)], "triples[(1, 2, 3)]: duplicate multiset"),
+    ([_entry(value=-0.5)], "triples[(1, 2, 3)].value: negative structure constant"),
+    ([_entry(k=4)], "triples[(1, 2, 4)]: index 4 out of range 1..3"),
+    ([_entry(i=0)], "triples[(0, 2, 3)]: index 0 out of range 1..3"),
+]
+
+
+@pytest.mark.parametrize("triples, message", LOADER_ERRORS)
+def test_loader_errors_are_pinned(triples, message):
+    with pytest.raises(SpecError) as error:
+        load_space_spec(json.dumps(_spec_document(triples=triples)))
+    assert str(error.value) == message
+
+
+@pytest.mark.parametrize("triples, message", [LOADER_ERRORS[8], LOADER_ERRORS[12]])
+def test_loader_errors_reach_the_cli_as_exit_2(capsys, tmp_path, triples, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_spec_document(triples=triples)))
+    code = run(["check", "--space", str(path), "--T", "1,1,1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (EXIT_INVALID_INPUT, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("key", [(1.5, 2, 3), (True, 2, 3), ("1", "2", "3")])
+def test_structure_constant_indices_must_be_integers(key):
+    with pytest.raises(SpecError) as error:
+        StructureConstantTable.from_items({key: 1})
+    assert str(error.value) == f"triples[{key}]: index must be an integer"
