@@ -80,13 +80,6 @@ def _is_index(idx) -> bool:
     return isinstance(idx, int) and not isinstance(idx, bool)
 
 
-def _multiset(key) -> tuple[int, int, int]:
-    """``key`` sorted, checked to hold integers."""
-    if not all(map(_is_index, key)):
-        raise SpecError("index must be an integer", f"triples[{key}]")
-    return tuple(sorted(key))
-
-
 @dataclass(frozen=True)
 class StructureConstantTable:
     """Sparse table of structure constants keyed by sorted index multiset.
@@ -105,7 +98,11 @@ class StructureConstantTable:
         seen: dict[tuple[int, int, int], float] = {}
         for key, raw in pairs:
             i, j, k = key
-            multiset = (i, j, k) if int is type(i) is type(j) is type(k) and i <= j <= k else _multiset(key)
+            if not (int is type(i) is type(j) is type(k) and i <= j <= k):
+                if not all(map(_is_index, key)):
+                    raise SpecError("index must be an integer", f"triples[{key}]")
+                i, j, k = sorted(key)
+            multiset = (i, j, k)
             if multiset in seen:
                 raise SpecError("duplicate multiset", f"triples[{multiset}]")
             try:
@@ -346,18 +343,17 @@ def _file_items(raw_triples: list):
         if not isinstance(entry, dict):
             raise SpecError("entry must be an object", f"triples[{pos}]")
         try:
-            ijk, raw = (entry["i"], entry["j"], entry["k"]), entry["value"]
+            i, j, k, raw = entry["i"], entry["j"], entry["k"], entry["value"]
         except KeyError:
             missing = next(key for key in ("i", "j", "k", "value") if key not in entry)
             raise SpecError(f"missing key {missing!r}", f"triples[{pos}]") from None
-        i, j, k = ijk
         if not (int is type(i) is type(j) is type(k) and i <= j <= k):
-            for label, idx in zip("ijk", ijk):
+            for label, idx in zip("ijk", (i, j, k)):
                 if not _is_index(idx):
                     raise SpecError("index must be an integer", f"triples[{pos}].{label}")
             if not i <= j <= k:
                 raise SpecError("indices must satisfy i <= j <= k", f"triples[{pos}]")
-        yield ijk, raw
+        yield (i, j, k), raw
 
 
 def space_spec_to_document(spec: HomogeneousSpaceSpec) -> dict:
