@@ -9,8 +9,6 @@ metric when it does.
 
 from .curvature import (
     RicciCoefficients,
-    hat_scalar_curvature,
-    metric_trace_of_T,
     ricci_coefficients,
     scalar_curvature,
     scalar_gradient,
@@ -23,8 +21,6 @@ from .sigma_apical import (
     SigmaSource,
     VerdictStatus,
     existence_check,
-    find_T_apical,
-    sigma,
     sigma_irreducible,
     wallach_existence_check,
 )
@@ -34,7 +30,6 @@ from .solver import (
     SolverError,
     SolverOptions,
     VerificationResult,
-    escape_curve_S,
     maximize_S_on_MT,
     maximize_hatS_on_slice,
     verify_prescribed_ricci,
@@ -72,8 +67,6 @@ __all__ = [
     "wallach_space",
     "trace_Q_restricted",
     "scalar_curvature",
-    "hat_scalar_curvature",
-    "metric_trace_of_T",
     "scalar_gradient",
     "ricci_coefficients",
     "RicciCoefficients",
@@ -88,8 +81,6 @@ __all__ = [
     "SigmaContext",
     "NoProperSubalgebraError",
     "sigma_irreducible",
-    "sigma",
-    "find_T_apical",
     "existence_check",
     "wallach_existence_check",
     "SolverError",
@@ -100,6 +91,5 @@ __all__ = [
     "maximize_hatS_on_slice",
     "maximize_S_on_MT",
     "verify_prescribed_ricci",
-    "escape_curve_S",
     "__version__",
 ]

@@ -41,8 +41,6 @@ __all__ = [
     "slice_term_system",
     "singleton_coefficients",
     "scalar_curvature",
-    "hat_scalar_curvature",
-    "metric_trace_of_T",
     "scalar_gradient",
     "ricci_coefficients",
     "RicciCoefficients",
@@ -56,10 +54,6 @@ class TermSystem:
     indices: tuple[int, ...]          # ascending summand indices of the slice
     coefficients: np.ndarray          # shape (m,)
     exponents: np.ndarray             # shape (m, k), integer-valued
-
-    @property
-    def dimension(self) -> int:
-        return len(self.indices)
 
     def value(self, y: np.ndarray) -> float:
         return float(self.coefficients @ np.prod(np.asarray(y, dtype=float) ** self.exponents, axis=1))
@@ -140,31 +134,10 @@ def slice_term_system(spec: HomogeneousSpaceSpec, indices=None) -> TermSystem:
     return system
 
 
-def hat_scalar_curvature(spec: HomogeneousSpaceSpec, indices, y) -> float:
-    """Extension of the scalar curvature to a subalgebra slice.
-
-    ``y`` lists the slice coefficients by ascending summand index.  On the
-    full index set this coincides with :func:`scalar_curvature` exactly.
-    """
-    resolved = resolve_indices(spec, indices)
-    ys = coefficients_array(y, len(resolved), "y")
-    return slice_term_system(spec, resolved).value(np.array(ys))
-
-
 def scalar_curvature(spec: HomogeneousSpaceSpec, x) -> float:
     """Scalar curvature of the diagonal metric with coefficients x."""
     xs = coefficients_array(x, spec.s, "x")
     return slice_term_system(spec).value(np.array(xs))
-
-
-def metric_trace_of_T(spec: HomogeneousSpaceSpec, indices, y, z) -> float:
-    """Trace of the prescribed tensor with respect to the slice scalar
-    product: sum of d_i z_i / y_i over the slice.  The full index set gives
-    the normalisation constraint defining the search slice."""
-    resolved = resolve_indices(spec, indices)
-    ys = coefficients_array(y, len(resolved), "y")
-    zs = coefficients_array(z, spec.s, "z")
-    return float(sum(spec.d[i - 1] * zs[i - 1] / ys[p] for p, i in enumerate(resolved)))
 
 
 def scalar_gradient(spec: HomogeneousSpaceSpec, x) -> np.ndarray:

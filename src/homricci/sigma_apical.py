@@ -44,7 +44,6 @@ from .space_model import (
     wallach_space,
 )
 from .subalgebras import (
-    _as_index_set,
     intermediate_subalgebras,
     is_bracket_closed,
     maximal_within,
@@ -59,8 +58,6 @@ __all__ = [
     "SigmaContext",
     "solve_together",
     "sigma_irreducible",
-    "sigma",
-    "find_T_apical",
     "existence_check",
     "existence_verdict",
     "wallach_existence_check",
@@ -135,11 +132,11 @@ class ExistenceVerdict:
     """
 
     status: VerdictStatus
-    apical: SubalgebraIndexSet | None
-    sigma: SigmaResult | None
-    lhs: float | None
-    rhs: float | None
-    margin: float | None
+    apical: SubalgebraIndexSet | None = None
+    sigma: SigmaResult | None = None
+    lhs: float | None = None
+    rhs: float | None = None
+    margin: float | None = None
     candidates: tuple[SigmaResult, ...] = field(default=())
 
     def as_dict(self) -> dict:
@@ -179,6 +176,13 @@ class SigmaContext:
     :func:`maximize_hatS_on_slices` call; :func:`solve_together` fills the
     existence tests of several contexts with one such call.  Not safe to
     share across threads.
+
+    The table and the pivot descent read the frame z 2^-e, with e chosen so
+    that the largest coordinate lies in [1, 2), or 0 where that would push a
+    coordinate out of the normal float range.  T and 2^k T share the frame,
+    so every tolerance decides alike for both.  sigma scales as 1/T, so each
+    result leaves the context with its value times 2^-e and its witness
+    times 2^e, which is exact.
     """
 
     def __init__(self, spec: HomogeneousSpaceSpec, z, options: SolverOptions | None = None):
@@ -186,13 +190,17 @@ class SigmaContext:
         self.z = coefficients_array(z, spec.s, "z")
         self.options = options or SolverOptions()
         self._memo: dict[frozenset[int], SigmaResult] = {}
+        self._exponent = math.frexp(max(self.z))[1] - 1
+        self._frame = tuple(math.ldexp(v, -self._exponent) for v in self.z)
+        if any(math.ldexp(v, self._exponent) != x for v, x in zip(self._frame, self.z)):
+            self._exponent, self._frame = 0, self.z
 
     def sigma(self, J) -> SigmaResult:
         return self.sigmas([J])[0]
 
     def sigmas(self, Js) -> list[SigmaResult]:
         """sigma of each J, with every slice they need solved in one call."""
-        Jsets = [_as_index_set(J) for J in Js]
+        Jsets = [SubalgebraIndexSet.from_iterable(J) for J in Js]
         for J in Jsets:
             if J.indices not in self._memo and not is_bracket_closed(self.spec, J):
                 raise ValueError(f"index set {J} is not bracket-closed")
@@ -200,13 +208,28 @@ class SigmaContext:
 
     def closed_sigmas(self, Js: Sequence[SubalgebraIndexSet]) -> list[SigmaResult]:
         """:meth:`sigmas` of sets known to be bracket-closed, such as lattice
-        members, without testing their closure again.  Sets all stored
-        already are answered from the memo without a fill."""
+        members, without testing their closure again."""
+        return [self._unframe(result) for result in self._framed(Js)]
+
+    def _framed(self, Js: Sequence[SubalgebraIndexSet]) -> list[SigmaResult]:
+        """sigma of closed sets in the frame; sets all stored already are
+        answered from the memo without a fill."""
         try:
             return [self._memo[J.indices] for J in Js]
         except KeyError:
             _fill([self], Js)
             return [self._memo[J.indices] for J in Js]
+
+    def _unframe(self, result: SigmaResult) -> SigmaResult:
+        """``result`` out of the frame; ValueError where that overflows."""
+        e = self._exponent
+        if not e:
+            return result
+        try:
+            witness = None if result.witness is None else tuple(math.ldexp(y, e) for y in result.witness)
+            return SigmaResult(result.J, math.ldexp(result.value, -e), result.attained, witness, result.source)
+        except OverflowError:
+            raise ValueError(f"sigma of {result.J} overflows a float at this tensor") from None
 
 
 def _sigma_composite(J: SubalgebraIndexSet, report: OptimizationReport, bound: float | None) -> SigmaResult:
@@ -345,11 +368,11 @@ def _fill(contexts: Sequence[SigmaContext], Js: Sequence[SubalgebraIndexSet]) ->
                 split[p] = [position[low]] + split.get(rest, [rest])
         solved = [p for p in several[~cut].tolist() if len(closed[p]) > 2]
 
-    points = np.array(spec.d) * np.array([ctx.z for ctx in contexts])
+    points = np.array(spec.d) * np.array([ctx._frame for ctx in contexts])
     ratios = singleton_coefficients(spec) / points
     composite = [(ctx, closed[p]) for ctx in contexts for p in solved if closed[p].indices not in ctx._memo]
     reports = iter(maximize_hatS_on_slices(spec, [K for _, K in composite],
-                                           [ctx.z for ctx, _ in composite], options) if composite else ())
+                                           [ctx._frame for ctx, _ in composite], options) if composite else ())
     for ctx, point, ratio in zip(contexts, points.tolist(), ratios.tolist()):
         values = np.empty(len(closed))
         for p, K in enumerate(closed):
@@ -391,11 +414,6 @@ def solve_together(contexts: Sequence[SigmaContext]) -> None:
         return
 
 
-def sigma(spec: HomogeneousSpaceSpec, J, z, options: SolverOptions | None = None) -> SigmaResult:
-    """sigma(J, T) with attainment analysis; see :class:`SigmaContext`."""
-    return SigmaContext(spec, z, options).sigma(J)
-
-
 def _tie_break(results: Sequence[SigmaResult]) -> SigmaResult:
     # prefer more summands, then the lexicographically smallest index set
     return min(results, key=lambda r: (-len(r.J), r.J.sorted))
@@ -408,13 +426,20 @@ def _tied_subset(results: Sequence[SigmaResult]) -> list[SigmaResult]:
 
 
 def _apical_search(ctx: SigmaContext) -> tuple[SigmaResult, tuple[SigmaResult, ...]]:
+    """The pivot and every tied candidate, in the frame of ``ctx``.
+
+    From each maximal subalgebra whose sigma ties the largest, the walk
+    descends, while the supremum is unattained, to the tied subalgebra of
+    most summands, then lexicographically first; single summands always
+    attain, so it ends.  The pivot is the candidate first in that order.
+    """
     lattice = intermediate_subalgebras(ctx.spec)
     if not lattice.all_proper:
         raise NoProperSubalgebraError(
             "the isotropy algebra is maximal: no proper intermediate subalgebra "
             "exists, and this existence test does not cover that case"
         )
-    maximal_results = ctx.closed_sigmas(lattice.maximal)
+    maximal_results = ctx._framed(lattice.maximal)
     candidates: list[SigmaResult] = []
     for start in _tied_subset(maximal_results):
         current = start
@@ -422,23 +447,11 @@ def _apical_search(ctx: SigmaContext) -> tuple[SigmaResult, tuple[SigmaResult, .
             subs = maximal_within(ctx.spec, current.J)
             if not subs:  # unattained sigma always has somewhere to descend
                 raise SolverError(f"descent stuck on {current.J} with no subalgebras")
-            current = _tie_break(_tied_subset([ctx.sigma(Jp) for Jp in subs]))
+            current = _tie_break(_tied_subset(ctx._framed(subs)))
         if all(current.J.indices != c.J.indices for c in candidates):
             candidates.append(current)
     candidates.sort(key=lambda r: (-len(r.J), r.J.sorted))
     return _tie_break(candidates), tuple(candidates)
-
-
-def find_T_apical(spec: HomogeneousSpaceSpec, z, options: SolverOptions | None = None) -> SigmaResult:
-    """A proper subalgebra with attained sigma dominating every maximal one.
-
-    Starts from the maximal subalgebra with the largest sigma and, while the
-    supremum is unattained, descends to the sub-subalgebra with the largest
-    sigma; single summands always attain, so the walk terminates.  Ties are
-    broken toward more summands, then lexicographically.
-    """
-    primary, _ = _apical_search(SigmaContext(spec, z, options))
-    return primary
 
 
 def _complement_constant(spec: HomogeneousSpaceSpec, complement: frozenset[int]) -> float:
@@ -458,17 +471,6 @@ def _classify(margin: float, rhs: float) -> VerdictStatus:
     if abs(margin) <= band:
         return VerdictStatus.BOUNDARY
     return VerdictStatus.INCONCLUSIVE
-
-
-def _degenerate_verdict() -> ExistenceVerdict:
-    return ExistenceVerdict(
-        status=VerdictStatus.DEGENERATE_CONSTANT_RICCI,
-        apical=None,
-        sigma=None,
-        lhs=None,
-        rhs=None,
-        margin=None,
-    )
 
 
 def existence_check(spec: HomogeneousSpaceSpec, z, options: SolverOptions | None = None) -> ExistenceVerdict:
@@ -492,21 +494,14 @@ def existence_verdict(ctx: SigmaContext) -> ExistenceVerdict:
     every slice the context has already solved."""
     spec = ctx.spec
     if not len(ordered_entries(spec)[0]):  # no bracket reaches anything
-        return _degenerate_verdict()
+        return ExistenceVerdict(VerdictStatus.DEGENERATE_CONSTANT_RICCI)
     primary, candidates = _apical_search(ctx)
     complement = primary.J.complement(spec.s)
-    lhs = primary.value * trace_Q_restricted(spec, ctx.z, complement)
+    lhs = primary.value * trace_Q_restricted(spec, ctx._frame, complement)  # the same in any frame
     rhs = _complement_constant(spec, complement)
     margin = rhs - lhs
-    return ExistenceVerdict(
-        status=_classify(margin, rhs),
-        apical=primary.J,
-        sigma=primary,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        candidates=candidates,
-    )
+    return ExistenceVerdict(_classify(margin, rhs), primary.J, ctx._unframe(primary), lhs, rhs, margin,
+                            tuple(map(ctx._unframe, candidates)))
 
 
 def wallach_existence_check(d: Sequence[int], a, z) -> ExistenceVerdict:
@@ -523,7 +518,7 @@ def wallach_existence_check(d: Sequence[int], a, z) -> ExistenceVerdict:
     dims, strength = spec.d, spec.constant(1, 2, 3)
     zs = coefficients_array(z, 3, "z")
     if strength == 0.0:
-        return _degenerate_verdict()
+        return ExistenceVerdict(VerdictStatus.DEGENERATE_CONSTANT_RICCI)
 
     values = [(dims[p] - 2.0 * strength) / (2.0 * dims[p] * zs[p]) for p in range(3)]
     best = max(values)
@@ -531,26 +526,10 @@ def wallach_existence_check(d: Sequence[int], a, z) -> ExistenceVerdict:
     tied = [p for p in range(3) if values[p] >= best - tol]
     p = min(tied)
 
-    candidates = tuple(
-        SigmaResult(
-            J=SubalgebraIndexSet.of(q + 1),
-            value=values[q],
-            attained=True,
-            witness=(dims[q] * zs[q],),
-            source=SigmaSource.CLOSED_FORM_IRREDUCIBLE,
-        )
-        for q in tied
-    )
+    candidates = tuple(SigmaResult(SubalgebraIndexSet.of(q + 1), values[q], True, (dims[q] * zs[q],),
+                                   SigmaSource.CLOSED_FORM_IRREDUCIBLE) for q in tied)
     primary = candidates[tied.index(p)]
     lhs = values[p] * sum(dims[i] * zs[i] for i in range(3) if i != p)
     rhs = 0.5 * (sum(dims) - dims[p])
     margin = rhs - lhs
-    return ExistenceVerdict(
-        status=_classify(margin, rhs),
-        apical=primary.J,
-        sigma=primary,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        candidates=candidates,
-    )
+    return ExistenceVerdict(_classify(margin, rhs), primary.J, primary, lhs, rhs, margin, candidates)

@@ -40,7 +40,6 @@ import numpy as np
 
 from .curvature import (
     TermSystem,
-    metric_trace_of_T,
     ricci_coefficients,
     scalar_curvature,
     slice_term_system,
@@ -54,14 +53,12 @@ __all__ = [
     "OptimizationReport",
     "RestartOutcomes",
     "VerificationResult",
-    "project_slice_coefficients",
     "maximize_hatS_on_slice",
     "maximize_hatS_on_slices",
     "maximize_S_on_MT",
     "verify_prescribed_ricci",
     "polish_prescribed_ricci",
     "fit_prescribed_ricci",
-    "escape_curve_S",
 ]
 
 GRADIENT_TOLERANCE = 1e-9      # reported convergence threshold
@@ -184,13 +181,6 @@ def _halton(index: int, base: int) -> float:
     return r
 
 
-def project_slice_coefficients(spec: HomogeneousSpaceSpec, indices, z, y) -> tuple[float, ...]:
-    """Scale y onto the unit-trace slice: y -> lambda y with
-    lambda = sum d_i z_i / y_i.  Exact and idempotent up to rounding."""
-    lam = metric_trace_of_T(spec, indices, y, z)
-    return tuple(lam * float(v) for v in y)
-
-
 def _row_norms(X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", X, X))
 
@@ -209,7 +199,7 @@ class _SliceProblem:
 
     def __init__(self, spec: HomogeneousSpaceSpec, systems: list[TermSystem],
                  zs: list[tuple[float, ...]], restarts: int):
-        self.k = systems[0].dimension
+        self.k = len(systems[0].indices)
         m = max(len(system.coefficients) for system in systems)
         self.coefficients = np.zeros((len(systems), 1, m))
         self.exponents = np.zeros((len(systems), m, self.k))
@@ -598,35 +588,3 @@ def fit_prescribed_ricci(spec: HomogeneousSpaceSpec, report: OptimizationReport,
     return x, polished, (
         f"solver did not converge: the Ricci fit at the maximiser has residual "
         f"{verification.residual:.4g}, and {polished.residual:.4g} after Newton polish")
-
-
-def escape_curve_S(spec: HomogeneousSpaceSpec, J, y, z, t: float) -> float:
-    """Scalar curvature along the curve that blows up the complement of J.
-
-    The curve keeps the metric on the slice proportional to y (rescaled by
-    phi(t) = t / (t - tr), tr being the tensor trace over the complement) and
-    sets every complement coefficient to t, staying on the unit-trace slice
-    for every admissible t.  As t grows the value approaches hatS(y).
-    """
-    indices = resolve_indices(spec, J)
-    zs = coefficients_array(z, spec.s, "z")
-    complement = [i for i in spec.summand_indices() if i not in set(indices)]
-    tr = sum(spec.d[i - 1] * zs[i - 1] for i in complement)
-    if not t > tr:
-        raise ValueError(f"t must exceed the pole at {tr}, got {t}")
-
-    slice_trace = metric_trace_of_T(spec, indices, y, zs)
-    if abs(slice_trace - 1.0) > 1e-8:
-        raise ValueError(f"y is not on the unit-trace slice (trace = {slice_trace})")
-    ys = tuple(slice_trace * float(v) for v in y)
-
-    phi = t / (t - tr)
-    x_full = [0.0] * spec.s
-    for p, i in enumerate(indices):
-        x_full[i - 1] = phi * ys[p]
-    for i in complement:
-        x_full[i - 1] = t
-    full_trace = metric_trace_of_T(spec, None, x_full, zs)
-    if abs(full_trace - 1.0) > 1e-12:
-        raise SolverError(f"curve left the unit-trace slice (trace = {full_trace})")
-    return scalar_curvature(spec, x_full)

@@ -76,8 +76,13 @@ def parse_number(raw, field: str | None) -> float:
     return value
 
 
-def _is_index(idx) -> bool:
-    return isinstance(idx, int) and not isinstance(idx, bool)
+def _as_index(value) -> int:
+    """``value`` as a summand index: a Python or numpy integer, not a bool,
+    float or string."""
+    index = getattr(type(value), "__index__", None)
+    if index is None or isinstance(value, bool):
+        raise ValueError(f"summand index must be an integer, got {value!r}")
+    return index(value)
 
 
 @dataclass(frozen=True)
@@ -99,9 +104,10 @@ class StructureConstantTable:
         for key, raw in pairs:
             i, j, k = key
             if not (int is type(i) is type(j) is type(k) and i <= j <= k):
-                if not all(map(_is_index, key)):
-                    raise SpecError("index must be an integer", f"triples[{key}]")
-                i, j, k = sorted(key)
+                try:
+                    i, j, k = sorted(map(_as_index, key))
+                except ValueError:
+                    raise SpecError("index must be an integer", f"triples[{key}]") from None
             multiset = (i, j, k)
             if multiset in seen:
                 raise SpecError("duplicate multiset", f"triples[{multiset}]")
@@ -176,10 +182,6 @@ class HomogeneousSpaceSpec:
     def s(self) -> int:
         return len(self.d)
 
-    @property
-    def total_dimension(self) -> int:
-        return sum(self.d)
-
     def constant(self, i: int, j: int, k: int) -> float:
         return self.triples.value(i, j, k)
 
@@ -217,7 +219,7 @@ class SubalgebraIndexSet:
     indices: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", frozenset(int(i) for i in self.indices))
+        object.__setattr__(self, "indices", frozenset(map(_as_index, self.indices)))
         if not self.indices:
             raise ValueError("index set must be non-empty")
         if any(i < 1 for i in self.indices):
@@ -270,7 +272,7 @@ def resolve_indices(spec: HomogeneousSpaceSpec, indices) -> tuple[int, ...]:
     if isinstance(indices, SubalgebraIndexSet):
         out = indices.sorted
     else:
-        out = tuple(sorted(set(int(i) for i in indices)))
+        out = tuple(sorted(set(map(_as_index, indices))))
     if not out:
         raise ValueError("index set must be non-empty")
     for i in out:
@@ -349,8 +351,10 @@ def _file_items(raw_triples: list):
             raise SpecError(f"missing key {missing!r}", f"triples[{pos}]") from None
         if not (int is type(i) is type(j) is type(k) and i <= j <= k):
             for label, idx in zip("ijk", (i, j, k)):
-                if not _is_index(idx):
-                    raise SpecError("index must be an integer", f"triples[{pos}].{label}")
+                try:
+                    _as_index(idx)
+                except ValueError:
+                    raise SpecError("index must be an integer", f"triples[{pos}].{label}") from None
             if not i <= j <= k:
                 raise SpecError("indices must satisfy i <= j <= k", f"triples[{pos}]")
         yield (i, j, k), raw

@@ -44,12 +44,6 @@ def check_summand_count(s: int) -> None:
         )
 
 
-def _as_index_set(J) -> SubalgebraIndexSet:
-    if isinstance(J, SubalgebraIndexSet):
-        return J
-    return SubalgebraIndexSet.from_iterable(J)
-
-
 # the six orderings of (a, b, c); for a <= b <= c they come out sorted
 _PERMUTATIONS = list(permutations(range(3)))
 

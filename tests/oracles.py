@@ -47,6 +47,23 @@ def brute_force_hat_curvature(spec: HomogeneousSpaceSpec, J, y) -> float:
     return total
 
 
+def escape_curve_value(spec: HomogeneousSpaceSpec, J, y, z, t: float) -> float:
+    """Scalar curvature, by :func:`brute_force_scalar_curvature`, along the
+    curve that blows up the complement of J: every complement coefficient
+    is t, and the members of J keep y, scaled onto the unit-trace slice of J
+    and then by phi(t) = t / (t - tr), tr the tensor trace over the
+    complement, so that the metric stays on the unit-trace slice of the
+    whole space for t > tr.  As t grows the value tends to hatS(y)."""
+    members = sorted(set(int(i) for i in J))
+    complement = [i for i in range(1, spec.s + 1) if i not in members]
+    lam = sum(spec.d[i - 1] * float(z[i - 1]) / float(v) for i, v in zip(members, y))
+    phi = t / (t - sum(spec.d[i - 1] * float(z[i - 1]) for i in complement))
+    x = [float(t)] * spec.s
+    for i, v in zip(members, y):
+        x[i - 1] = phi * lam * float(v)
+    return brute_force_scalar_curvature(spec, x)
+
+
 def brute_force_ricci(spec: HomogeneousSpaceSpec, x) -> tuple[list[float], list[float]]:
     """Dense s^3 closed form of the Ricci coefficients, returned as (R, r):
 
@@ -146,6 +163,20 @@ def psi_peak_location(z2: float, z4: float) -> float:
 
 def psi_peak_value(z2: float, z4: float) -> float:
     return 7.0 / (18.0 * z2) - (math.sqrt(z4 * z4 + 42.0 * z2 * z4 - 24.0 * z2 * z2) - z4) / (54.0 * z2 * z2)
+
+
+def generalized_flag_spec(d1: int, d2: int) -> HomogeneousSpaceSpec:
+    """The generalised flag manifold with two isotropy summands of
+    dimensions d1 and d2: b = (1, 1) and [112] = d1 d2 / (d1 + 4 d2)
+    (Arvanitoyeorgos and Chrysikos, J. Aust. Math. Soc. 90, 2011).  Its
+    Kaehler-Einstein metric is x = (1, 2), and the criterion guarantees a
+    metric with Ric = c T exactly for z1 / z2 < (d1 + 4 d2) / (4 d2)."""
+    return HomogeneousSpaceSpec(
+        name=f"flag_{d1}_{d2}",
+        d=(d1, d2),
+        b=(1.0, 1.0),
+        triples=StructureConstantTable.from_items({(1, 1, 2): d1 * d2 / (d1 + 4 * d2)}),
+    )
 
 
 def random_space_spec(rng: np.random.Generator, max_summands: int = 5,

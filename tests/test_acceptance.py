@@ -14,10 +14,10 @@ import pytest
 
 from homricci.cli import run as cli_run
 from homricci.curvature import (
-    hat_scalar_curvature,
     ricci_coefficients,
     scalar_curvature,
     scalar_gradient,
+    slice_term_system,
 )
 from homricci.sigma_apical import (
     SigmaContext,
@@ -25,14 +25,16 @@ from homricci.sigma_apical import (
     existence_check,
     wallach_existence_check,
 )
-from homricci.solver import SolverOptions, escape_curve_S, maximize_S_on_MT, maximize_hatS_on_slice, verify_prescribed_ricci
+from homricci.solver import SolverOptions, maximize_S_on_MT, maximize_hatS_on_slice, verify_prescribed_ricci
 from homricci.space_model import wallach_space
 from homricci.subalgebras import intermediate_subalgebras
 from homricci.sweep import grid_points, sweep
 
 from oracles import (
+    brute_force_hat_curvature,
     brute_force_ricci,
     central_difference_gradient,
+    escape_curve_value,
     psi_peak_location,
     psi_peak_value,
     random_space_spec,
@@ -266,7 +268,7 @@ def test_criterion_6_analytic_identities(g2, f4, e6):
             trace = sum(spec.d[m] * ricci.r[m] for m in range(spec.s))
             assert abs(trace - S) < 1e-10 * max(1.0, abs(S)), trial
 
-            assert hat_scalar_curvature(spec, tuple(range(1, spec.s + 1)), x) == S, trial
+            assert slice_term_system(spec, tuple(range(1, spec.s + 1))).value(x) == S, trial
 
             t = float(rng.uniform(0.25, 4.0))
             scaled = scalar_curvature(spec, t * x)
@@ -297,7 +299,7 @@ def test_criterion_6_analytic_identities(g2, f4, e6):
                 result = ctx.sigma(J)
                 if not result.attained:
                     continue
-                limit = hat_scalar_curvature(spec, J, result.witness)
+                limit = brute_force_hat_curvature(spec, J, result.witness)
                 complement = sorted(J.complement(spec.s))
                 trace = sum(spec.d[i - 1] * z[i - 1] for i in complement)
                 constant = 0.5 * sum(spec.d[i - 1] * spec.b[i - 1] for i in complement)
@@ -306,7 +308,7 @@ def test_criterion_6_analytic_identities(g2, f4, e6):
                     for i in complement for j in complement for k in complement
                 )
                 margin = constant - limit * trace
-                value = escape_curve_S(spec, J, result.witness, z, t)
+                value = escape_curve_value(spec, J, result.witness, z, t)
                 assert abs(value - limit - margin / t) < 1e-9, f"{spec.name} {J}"
                 if abs(margin) < 10.0:
                     assert abs(value - limit) < 1e-5, f"{spec.name} {J}"

@@ -11,9 +11,11 @@ from homricci.cli import (
     EXIT_OK,
     run,
 )
-from homricci.space_model import SpecError, load_space_spec
+from homricci.space_model import SpecError, load_space_spec, space_spec_to_document
 from homricci.solver import SolverOptions
 from homricci.sweep import grid_points, parse_grid_axis, sweep
+
+from oracles import generalized_flag_spec
 
 DATA = Path(__file__).parent / "data"
 
@@ -476,6 +478,34 @@ def _triangle(tmp_path, *extra):
     return path
 
 
+def test_check_verdict_does_not_depend_on_the_size_of_T(capsys, tmp_path):
+    # sigma({1}) and sigma({2}) read 3 / (8 z) and 1 / (2 z); at T ~ 1e9
+    # both fell below the absolute tie band of 1e-9, and {1} became a
+    # pivot that does not dominate {2}
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({"name": "two", "d": [2, 2], "triples": [{"i": 1, "j": 1, "k": 1, "value": "1"}]}))
+    verdicts = {}
+    for T in ("1,1", "1e9,1e9", "1e-9,1e-9"):
+        code, out, _ = invoke(capsys, "check", "--space", str(path), "--T", T)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        verdicts[T] = (payload["status"], payload["apical"], [c["J"] for c in payload["candidates"]])
+    assert verdicts["1,1"] == ("inconclusive", [2], [[2]])
+    assert verdicts["1e9,1e9"] == verdicts["1e-9,1e-9"] == verdicts["1,1"]
+
+
+def test_generalized_flag_manifold_solve_finds_the_kaehler_einstein_metric(capsys, tmp_path):
+    # Ric = c T at T = (1, 2) is the Kaehler-Einstein metric x = (1, 2)
+    for d1, d2 in ((1, 2), (2, 1), (4, 4), (3, 8), (12, 1), (5, 12)):
+        path = tmp_path / f"flag_{d1}_{d2}.json"
+        path.write_text(json.dumps(space_spec_to_document(generalized_flag_spec(d1, d2))))
+        code, out, err = invoke(capsys, "solve", "--space", str(path), "--T", "1,2")
+        assert code == EXIT_OK, (d1, d2, err)
+        payload = json.loads(out)
+        x1, x2 = payload["x"]
+        assert payload["verified"] and abs(x2 / x1 - 2.0) < 1e-9, (d1, d2, payload["x"])
+
+
 def test_sweep_failed_slice_gives_one_error_row(capsys, monkeypatch, tmp_path):
     import homricci.sigma_apical as sigma_apical
     from homricci.solver import SolverError
@@ -485,7 +515,9 @@ def test_sweep_failed_slice_gives_one_error_row(capsys, monkeypatch, tmp_path):
     real = sigma_apical.maximize_hatS_on_slices
 
     def failing(spec, Js, zs, options=None):
-        if any(z[0] == 2.0 for z in zs):
+        # the solver sees each tensor scaled to max z in [1, 2): the point
+        # z = (2, 1, 1, 1) as (1, 0.5, 0.5, 0.5)
+        if any(tuple(z) == (1.0, 0.5, 0.5, 0.5) for z in zs):
             raise SolverError("injected failure")
         return real(spec, Js, zs, options)
 
@@ -511,9 +543,10 @@ def test_sweep_failed_attainment_gives_one_error_row(capsys, monkeypatch, tmp_pa
     real = sigma_apical.maximize_hatS_on_slices
 
     def unconverged(spec, Js, zs, options=None):
+        # the point z = (2, 1, 1, 1) reaches the solver as (1, 0.5, 0.5, 0.5)
         reports = real(spec, Js, zs, options)
-        return tuple(dataclasses.replace(r, converged=False, diagnostics="injected") if z[0] == 2.0 else r
-                     for r, z in zip(reports, zs))
+        return tuple(dataclasses.replace(r, converged=False, diagnostics="injected")
+                     if tuple(z) == (1.0, 0.5, 0.5, 0.5) else r for r, z in zip(reports, zs))
 
     monkeypatch.setattr(sigma_apical, "maximize_hatS_on_slices", unconverged)
     code, out, err = invoke(capsys, *args)
@@ -656,3 +689,26 @@ def test_readme_examples_exit_0(capsys):
         code, out, err = invoke(capsys, *argv)
         assert code == EXIT_OK, (argv, err)
         assert out
+
+
+def test_readme_library_block_runs():
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    library = text[text.index("## Library"):]
+    block = library[library.index("```python\n") + len("```python\n"):]
+    namespace: dict = {}
+    exec(compile(block[:block.index("```")], "README.md", "exec"), namespace)
+    assert len(namespace["rows"]) == 31 and namespace["header"][-2:] == ["c", "residual"]
+
+
+def test_every_exported_name_resolves():
+    import importlib
+    import pkgutil
+
+    import homricci
+
+    modules = [homricci] + [importlib.import_module(f"homricci.{info.name}")
+                            for info in pkgutil.iter_modules(homricci.__path__)]
+    exported = [(module.__name__, name) for module in modules for name in getattr(module, "__all__", ())]
+    assert len(exported) > 60
+    missing = [(module, name) for module, name in exported if not hasattr(importlib.import_module(module), name)]
+    assert missing == []

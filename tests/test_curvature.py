@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from homricci.curvature import (
-    hat_scalar_curvature,
-    metric_trace_of_T,
     ricci_coefficients,
     scalar_curvature,
     scalar_gradient,
@@ -63,23 +61,23 @@ def test_scalar_curvature_dimension_mismatch(g2):
 
 
 def test_hat_f4_two_summand_slice(f4):
-    value = hat_scalar_curvature(f4, (2, 4), (1.0, 1.0))
-    assert value == pytest.approx(7 + 4 / 3 - 0.5, rel=1e-14)
+    system = slice_term_system(f4, (2, 4))
+    assert system.value((1.0, 1.0)) == pytest.approx(7 + 4 / 3 - 0.5, rel=1e-14)
     u, v = 1.7, 0.9
     expected = 7 / u + 4 / (3 * v) - v / (2 * u**2)
-    assert hat_scalar_curvature(f4, (2, 4), (u, v)) == pytest.approx(expected, rel=1e-13)
+    assert system.value((u, v)) == pytest.approx(expected, rel=1e-13)
 
 
 def test_hat_f4_singleton(f4):
     # complement sum: two orderings of the mixed triple at 2/3 plus one at 2
-    assert hat_scalar_curvature(f4, (4,), (3.0,)) == pytest.approx(4 / 9, rel=1e-14)
+    assert slice_term_system(f4, (4,)).value((3.0,)) == pytest.approx(4 / 9, rel=1e-14)
 
 
 def test_hat_full_set_equals_scalar_curvature(g2):
     x = (1.0, 1.0, 1.0)
-    assert hat_scalar_curvature(g2, (1, 2, 3), x) == scalar_curvature(g2, x)
+    assert slice_term_system(g2, (1, 2, 3)).value(x) == scalar_curvature(g2, x)
     x = (0.37, 2.6, 1.44)
-    assert hat_scalar_curvature(g2, (1, 2, 3), x) == scalar_curvature(g2, x)
+    assert slice_term_system(g2, (1, 2, 3)).value(x) == scalar_curvature(g2, x)
 
 
 def test_hat_matches_brute_force_random():
@@ -89,23 +87,9 @@ def test_hat_matches_brute_force_random():
         size = int(rng.integers(1, spec.s + 1))
         members = sorted(rng.choice(spec.s, size=size, replace=False) + 1)
         y = rng.uniform(0.1, 10.0, size)
-        fast = hat_scalar_curvature(spec, members, y)
+        fast = slice_term_system(spec, members).value(y)
         slow = brute_force_hat_curvature(spec, members, y)
         assert fast == pytest.approx(slow, rel=1e-12, abs=1e-12)
-
-
-def test_hat_rejects_bad_coefficients(f4):
-    with pytest.raises(ValueError):
-        hat_scalar_curvature(f4, (2, 4), (1.0, -1.0))
-    with pytest.raises(ValueError, match="length"):
-        hat_scalar_curvature(f4, (2, 4), (1.0,))
-
-
-def test_metric_trace_examples(f4, g2, single):
-    u, v = 2.3, 0.8
-    assert metric_trace_of_T(f4, (2, 4), (u, v), (1, 1, 1, 1)) == pytest.approx(18 / u + 6 / v, rel=1e-14)
-    assert metric_trace_of_T(g2, None, (1, 1, 1), (1, 1, 1)) == 10.0
-    assert metric_trace_of_T(single, None, (4.0,), (1.0,)) == 1.0
 
 
 def test_gradient_single_summand(single):

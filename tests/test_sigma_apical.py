@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from homricci.curvature import hat_scalar_curvature, metric_trace_of_T
 from homricci.sigma_apical import (
     ATTAINMENT_TOLERANCE,
     BOUNDARY_ADJACENT_RATIO,
@@ -13,8 +12,7 @@ from homricci.sigma_apical import (
     SigmaSource,
     VerdictStatus,
     existence_check,
-    find_T_apical,
-    sigma,
+    existence_verdict,
     sigma_irreducible,
     wallach_existence_check,
     _complement_constant,
@@ -37,6 +35,7 @@ from oracles import (
     brute_force_hat_curvature,
     complement_constant,
     components,
+    generalized_flag_spec,
     golden_section_max,
     has_internal_bracket,
     is_closed_subset,
@@ -97,7 +96,7 @@ def test_sigma_irreducible_matches_brute_force_random():
 
 
 def test_sigma_delegates_singletons(g2):
-    via_sigma = sigma(g2, (3,), (1, 1, 1))
+    via_sigma = SigmaContext(g2, (1, 1, 1)).sigma((3,))
     direct = sigma_irreducible(g2, 3, (1, 1, 1))
     assert via_sigma == direct
 
@@ -108,20 +107,20 @@ def test_sigma_delegates_singletons(g2):
 
 
 def test_sigma_f4_interior_attained(f4):
-    res = sigma(f4, (2, 4), (1, 1, 1, 1))
+    res = SigmaContext(f4, (1, 1, 1, 1)).sigma((2, 4))
     assert res.attained and res.source is SigmaSource.INTERIOR_MAXIMUM
     assert res.value == pytest.approx(psi_peak_value(1.0, 1.0), rel=1e-10)
     assert res.value == pytest.approx(7 / 18 - (math.sqrt(19) - 1) / 54, rel=1e-10)
     # witness sits on the slice and realises the value
-    assert abs(metric_trace_of_T(f4, (2, 4), res.witness, (1, 1, 1, 1)) - 1.0) < 1e-10
-    assert hat_scalar_curvature(f4, (2, 4), res.witness) == pytest.approx(res.value, rel=1e-9)
+    assert abs(18 / res.witness[0] + 6 / res.witness[1] - 1.0) < 1e-10
+    assert brute_force_hat_curvature(f4, (2, 4), res.witness) == pytest.approx(res.value, rel=1e-9)
     # second coordinate is the stationary point of the one-variable reduction
     assert res.witness[1] == pytest.approx(6 * math.sqrt(19), rel=1e-8)
 
 
 def test_sigma_f4_matches_golden_section(f4):
     z2, z4 = 0.8, 1.1
-    res = sigma(f4, (2, 4), (1.0, z2, 1.0, z4))
+    res = SigmaContext(f4, (1.0, z2, 1.0, z4)).sigma((2, 4))
     v_star, value = golden_section_max(
         lambda v: psi_slice_value(z2, z4, v), 6 * z4 + 1e-9, 40 * z4
     )
@@ -131,7 +130,7 @@ def test_sigma_f4_matches_golden_section(f4):
 
 
 def test_sigma_f4_unattained(f4):
-    res = sigma(f4, (2, 4), (1.0, 2.0, 1.0, 1.0))  # z2/z4 = 2 >= 7/4
+    res = SigmaContext(f4, (1.0, 2.0, 1.0, 1.0)).sigma((2, 4))  # z2/z4 = 2 >= 7/4
     assert not res.attained
     assert res.source is SigmaSource.BOUNDARY_RECURSION
     assert res.witness is None
@@ -144,7 +143,7 @@ def test_sigma_degenerate_threshold_band(f4):
     # the escape boundary; the near-escape witness must not be promoted to
     # an interior maximum, or the pivot search would certify the existence
     # inequality through the wrong subalgebra
-    res = sigma(f4, (2, 4), (1.0, 1.7501, 1.0, 1.0))
+    res = SigmaContext(f4, (1.0, 1.7501, 1.0, 1.0)).sigma((2, 4))
     assert not res.attained
     assert res.source is SigmaSource.BOUNDARY_RECURSION
     assert res.value == pytest.approx(2 / 9, rel=1e-10)
@@ -183,14 +182,14 @@ def test_sigma_dominates_sampled_slice_points():
 
 def test_sigma_requires_closed(f4):
     with pytest.raises(ValueError, match="not bracket-closed"):
-        sigma(f4, (2,), (1, 1, 1, 1))
+        SigmaContext(f4, (1, 1, 1, 1)).sigma((2,))
 
 
 def test_sigma_scaling_covariance(f4, g2):
     t = 2.5
     for spec, J, z in ((f4, (2, 4), (1, 1, 1, 1)), (g2, (3,), (1, 1, 1))):
-        base = sigma(spec, J, z)
-        scaled = sigma(spec, J, tuple(t * v for v in z))
+        base = SigmaContext(spec, z).sigma(J)
+        scaled = SigmaContext(spec, tuple(t * v for v in z)).sigma(J)
         assert scaled.value == pytest.approx(base.value / t, rel=1e-9)
 
 
@@ -289,10 +288,10 @@ def test_singleton_sigma_needs_no_lattice():
     spec = load_space_spec({"name": "wide", "d": [2] * 17,
                             "triples": [{"i": 1, "j": 2, "k": 3, "value": 1}]})
     z = tuple(1.0 + 0.1 * i for i in range(17))
-    assert sigma(spec, (5,), z) == sigma_irreducible(spec, 5, z)
+    assert SigmaContext(spec, z).sigma((5,)) == sigma_irreducible(spec, 5, z)
     assert SigmaContext(spec, z).sigmas([(7,), (5,)]) == [sigma_irreducible(spec, i, z) for i in (7, 5)]
     with pytest.raises(ValueError, match="at most 16 summands"):
-        sigma(spec, (4, 5), z)
+        SigmaContext(spec, z).sigma((4, 5))
 
 
 def test_sets_read_from_the_lattice_are_not_tested_again(g2, f4, monkeypatch):
@@ -393,7 +392,7 @@ def test_tied_bracket_free_pair_is_attained_without_a_solve(monkeypatch):
     # point of weight 1/2 on each, witness the tie
     calls = _record_solves(monkeypatch)
     spec = load_space_spec({"name": "flat", "d": [2, 3, 5], "triples": []})
-    result = sigma(spec, (1, 2), (1, 1, 1))
+    result = SigmaContext(spec, (1, 1, 1)).sigma((1, 2))
     assert calls == []
     assert (result.value, result.attained, result.source) == (0.5, True, SigmaSource.INTERIOR_MAXIMUM)
     assert result.witness == (4.0, 6.0)
@@ -410,9 +409,9 @@ def test_fill_without_slices_calls_no_solver(g2, e6, monkeypatch):
     assert [J.sorted for J in intermediate_subalgebras(mixed).all_proper if len(J) > 1] == [(1, 2)]
     for spec in (g2, e6, mixed):
         existence_check(spec, (1.0,) * spec.s)
-    sigma(mixed, (1, 2), (1.0, 1.1, 1.0, 1.0, 1.0, 1.0))
+    SigmaContext(mixed, (1.0, 1.1, 1.0, 1.0, 1.0, 1.0)).sigma((1, 2))
     assert calls == []
-    assert not sigma(mixed, (1, 2), (1.0,) * 6).attained
+    assert not SigmaContext(mixed, (1.0,) * 6).sigma((1, 2)).attained
 
 
 def test_slice_with_an_internal_bracket_keeps_its_solve():
@@ -421,10 +420,10 @@ def test_slice_with_an_internal_bracket_keeps_its_solve():
     spec = load_space_spec({"name": "sparse8_1", "d": [2, 11, 3, 4, 4, 9, 12, 1], "triples": [
         {"i": 1, "j": 3, "k": 4, "value": "3"}, {"i": 2, "j": 2, "k": 4, "value": "4/3"},
         {"i": 5, "j": 6, "k": 8, "value": "7/3"}, {"i": 7, "j": 7, "k": 8, "value": "3/2"}]})
-    result = sigma(spec, (5, 6, 8), (1,) * 8)
+    result = SigmaContext(spec, (1,) * 8).sigma((5, 6, 8))
     assert result.attained and result.source is SigmaSource.INTERIOR_MAXIMUM
     assert result.value == pytest.approx(0.2477054901850529, rel=1e-12)
-    assert result.value > sigma(spec, (6,), (1,) * 8).value == 0.24074074074074073
+    assert result.value > SigmaContext(spec, (1,) * 8).sigma((6,)).value == 0.24074074074074073
 
 
 def test_near_tied_bracket_free_pair_is_not_attained():
@@ -434,7 +433,7 @@ def test_near_tied_bracket_free_pair_is_not_attained():
     spec = load_space_spec({"name": "near_tie", "d": [2, 2, 2], "triples": [
         {"i": 1, "j": 3, "k": 3, "value": 1}, {"i": 2, "j": 3, "k": 3, "value": 1}]})
     T = (1.0, 1.0000001, 1.0)
-    assert not sigma(spec, (1, 2), T).attained
+    assert not SigmaContext(spec, T).sigma((1, 2)).attained
     verdict = existence_check(spec, T)
     assert verdict.apical.sorted == (1,) and verdict.sigma.value == 0.25
 
@@ -549,7 +548,7 @@ def test_disjoint_union_takes_the_larger_sigma(g2, f4):
         for JA in parts[0][1:]:
             for JB in parts[1][1:]:
                 shifted = sorted(i + A.s for i in JB)
-                alone = sigma(A, sorted(JA), zA).value, sigma(B, sorted(JB), zB).value
+                alone = SigmaContext(A, zA).sigma(sorted(JA)).value, SigmaContext(B, zB).sigma(sorted(JB)).value
                 inside = ctx.sigma(sorted(JA)).value, ctx.sigma(shifted).value
                 assert inside == pytest.approx(alone, rel=1e-12, abs=1e-12), (A, B, JA, JB)
                 assert ctx.sigma(sorted(JA) + shifted).value == max(inside), (A, B, JA, JB)
@@ -582,7 +581,7 @@ def test_f4_pair_is_attained_below_seven_quarters(f4, monkeypatch):
     for z4 in (0.6, 1.0, 2.5):
         for ratio in (0.3, 1.0, 1.5, 1.74, 1.749, 1.75, 1.751, 1.76, 2.0, 5.0):
             z = (1.0, ratio * z4, 1.0, z4)
-            result = sigma(f4, (2, 4), z)
+            result = SigmaContext(f4, z).sigma((2, 4))
             if ratio < 1.75:
                 assert result.attained and result.source is SigmaSource.INTERIOR_MAXIMUM, z
                 assert result.value == pytest.approx(psi_peak_value(z[1], z4), rel=1e-12), z
@@ -591,11 +590,11 @@ def test_f4_pair_is_attained_below_seven_quarters(f4, monkeypatch):
             else:
                 assert (result.attained, result.witness, result.source) == (
                     False, None, SigmaSource.BOUNDARY_RECURSION), z
-                assert result.value == sigma(f4, (4,), z).value == pytest.approx(2 / (9 * z4), rel=1e-14), z
+                assert result.value == SigmaContext(f4, z).sigma((4,)).value == pytest.approx(2 / (9 * z4), rel=1e-14), z
     # at z2 = 7/4 (1 - delta), z4 = 1, hatS leaves the face with slope
     # (2/9) delta / (1 - delta): attained above the band 1e-9, a tie below it
-    assert sigma(f4, (2, 4), (1.0, 1.75 * (1.0 - 1e-7), 1.0, 1.0)).attained
-    assert not sigma(f4, (2, 4), (1.0, 1.75 * (1.0 - 1e-9), 1.0, 1.0)).attained
+    assert SigmaContext(f4, (1.0, 1.75 * (1.0 - 1e-7), 1.0, 1.0)).sigma((2, 4)).attained
+    assert not SigmaContext(f4, (1.0, 1.75 * (1.0 - 1e-9), 1.0, 1.0)).sigma((2, 4)).attained
     assert calls == []
 
 
@@ -625,7 +624,7 @@ def test_connected_pair_matches_golden_section_on_its_segment(monkeypatch):
         faces = [brute_force_hat_curvature(spec, (i,), (spec.d[i - 1] * z[i - 1],))
                  for i in J if is_closed_subset(spec, {i})]
         limit = max(faces, default=-math.inf)
-        result = sigma(spec, J, z)
+        result = SigmaContext(spec, z).sigma(J)
         where = (spec, J, z)
         assert result.value == pytest.approx(max(interior, limit), rel=1e-12, abs=0.0), where
         assert result.attained is (interior > limit), where
@@ -648,7 +647,7 @@ def test_connected_pair_is_exact_under_uneven_scaling():
         {"i": 1, "j": 1, "k": 2, "value": 1}, {"i": 1, "j": 2, "k": 2, "value": 0.5},
         {"i": 1, "j": 3, "k": 3, "value": 1}]})
     for z in ((1e150, 1.0, 1.0), (1.0, 1e150, 1.0), (1e-150, 1.0, 1.0), (1.0, 1e-150, 1.0), (1e-300, 1.0, 1.0)):
-        result = sigma(spec, (1, 2), z)
+        result = SigmaContext(spec, z).sigma((1, 2))
         a, b = 2.0 * z[0], 3.0 * z[1]
         sampled = max(brute_force_hat_curvature(spec, (1, 2), (a + b / r, a * r + b))
                       for r in np.logspace(-6.0, 6.0, 1201))
@@ -664,8 +663,8 @@ def test_flat_ray_at_a_face_is_not_attained():
     spec = next(seeded_draws(6))
     c = [brute_force_hat_curvature(spec, (i,), (1.0,)) for i in range(1, spec.s + 1)]
     z = tuple(ci / di for ci, di in zip(c, spec.d))
-    pair = sigma(spec, (1, 2), z)
-    assert (pair.value, pair.attained, pair.witness) == (sigma(spec, (1,), z).value, False, None)
+    pair = SigmaContext(spec, z).sigma((1, 2))
+    assert (pair.value, pair.attained, pair.witness) == (SigmaContext(spec, z).sigma((1,)).value, False, None)
     verdict = existence_check(spec, z)
     assert verdict.apical.sorted == (1,) and verdict.status is VerdictStatus.INCONCLUSIVE
 
@@ -700,19 +699,19 @@ def test_complement_constant_matches_oracle(seed):
 
 
 def test_apical_g2_small_z2(g2):
-    res = find_T_apical(g2, (1.0, 0.1, 1.0))
+    res = existence_check(g2, (1.0, 0.1, 1.0)).sigma
     assert res.J.sorted == (2,)
     assert res.value == pytest.approx(1 / 1.2, rel=1e-12)
 
 
 def test_apical_g2_unit(g2):
-    res = find_T_apical(g2, (1, 1, 1))
+    res = existence_check(g2, (1, 1, 1)).sigma
     assert res.J.sorted == (3,)
     assert res.value == pytest.approx(3 / 8, rel=1e-14)
 
 
 def test_apical_f4_descends(f4):
-    res = find_T_apical(f4, (1.0, 2.0, 1.0, 1.0))
+    res = existence_check(f4, (1.0, 2.0, 1.0, 1.0)).sigma
     assert res.J.sorted == (4,)
     assert res.attained
     assert res.value == pytest.approx(2 / 9, rel=1e-12)
@@ -723,7 +722,7 @@ def test_apical_dominates_maximal(f4):
 
     z = (1.0, 2.0, 1.0, 1.0)
     ctx = SigmaContext(f4, z)
-    apical = find_T_apical(f4, z)
+    apical = existence_check(f4, z).sigma
     for J in intermediate_subalgebras(f4).maximal:
         assert apical.value >= ctx.sigma(J).value - 1e-9
 
@@ -741,7 +740,7 @@ def test_apical_requires_proper_subalgebra():
                     {"i": 1, "j": 2, "k": 2, "value": 1}],
     })
     with pytest.raises(NoProperSubalgebraError):
-        find_T_apical(spec, (1, 1))
+        existence_check(spec, (1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -800,6 +799,93 @@ def test_existence_status_scale_invariant(g2, f4):
             b = existence_check(spec, tuple(t * v for v in z))
             assert a.status == b.status
             assert b.sigma.value == pytest.approx(a.sigma.value / t, rel=1e-9)
+
+
+def _verdict_and_table(spec, z):
+    """The verdict and the lattice's sigma table at z, or the type of the
+    error that the check raises."""
+    ctx = SigmaContext(spec, z)
+    try:
+        return existence_verdict(ctx), ctx.closed_sigmas(intermediate_subalgebras(spec).all_proper)
+    except (NoProperSubalgebraError, SolverError) as error:
+        return type(error), None
+
+
+def test_verdict_is_bitwise_invariant_under_power_of_two_rescaling():
+    # sigma scales as 1/T and its witness as T; at 2^k T the status, pivot
+    # and margin are those at T, and every sigma and witness is the one at T
+    # times 2^-k and 2^k, bit for bit
+    rng = np.random.default_rng(2301)
+    checked = 0
+    for _ in range(60):
+        spec = random_space_spec(rng, max_summands=8, density=0.15)
+        z = tuple(float(v) for v in rng.uniform(0.5, 2.0, spec.s))
+        base, rows = _verdict_and_table(spec, z)
+        for k in (-40, -30, 30, 40):
+            scaled, scaled_rows = _verdict_and_table(spec, tuple(math.ldexp(v, k) for v in z))
+            if rows is None:
+                assert scaled is base, (spec, k)
+                continue
+            where = (spec, z, k)
+            assert (scaled.status, scaled.apical, scaled.lhs, scaled.rhs, scaled.margin, len(scaled.candidates)) == (
+                base.status, base.apical, base.lhs, base.rhs, base.margin, len(base.candidates)), where
+            for got, want in zip(scaled_rows + list(scaled.candidates), rows + list(base.candidates)):
+                assert (got.J, got.attained, got.source) == (want.J, want.attained, want.source), where
+                assert math.ldexp(got.value, k) == want.value, where
+                assert got.witness == (None if want.witness is None
+                                       else tuple(math.ldexp(y, k) for y in want.witness)), where
+            checked += 1
+    assert checked >= 150, checked
+
+
+def _relabelled(spec, order):
+    """``spec`` with summand ``order[p]`` renamed p + 1, and the renaming."""
+    new = {old: p + 1 for p, old in enumerate(order)}
+    entries = {tuple(sorted(new[i] for i in m)): v for m, v in spec.triples.entries}
+    return HomogeneousSpaceSpec(name=spec.name, d=tuple(spec.d[i - 1] for i in order),
+                                b=tuple(spec.b[i - 1] for i in order),
+                                triples=StructureConstantTable.from_items(entries)), new
+
+
+def test_relabelling_the_summands_permutes_the_sigma_table():
+    rng = np.random.default_rng(2302)
+    checked = 0
+    for _ in range(103):
+        spec = random_space_spec(rng, max_summands=8, density=0.15)
+        z = tuple(float(v) for v in rng.uniform(0.5, 2.0, spec.s))
+        order = [int(p) + 1 for p in rng.permutation(spec.s)]
+        other, new = _relabelled(spec, order)
+        verdict, rows = _verdict_and_table(spec, z)
+        moved, moved_rows = _verdict_and_table(other, tuple(z[i - 1] for i in order))
+        if rows is None:
+            assert moved is verdict, spec
+            continue
+        where = (spec, order)
+        assert moved.status == verdict.status, where
+        assert (moved.apical is None) is (verdict.apical is None), where
+        if verdict.apical is not None:
+            assert moved.apical.indices == {new[i] for i in verdict.apical}, where
+        table = {frozenset(new[i] for i in row.J): row for row in rows}
+        assert set(table) == {row.J.indices for row in moved_rows}, where
+        for row in moved_rows:
+            want = table[row.J.indices]
+            assert (row.attained, row.source) == (want.attained, want.source), (where, row.J)
+            assert row.value == pytest.approx(want.value, rel=1e-12, abs=1e-12), (where, row.J)
+        checked += 1
+    assert checked >= 80, checked
+
+
+def test_generalized_flag_manifolds_follow_their_threshold():
+    # two summands with [112] = d1 d2 / (d1 + 4 d2): the pivot is {2}, and
+    # the inequality holds exactly for z1 / z2 < (d1 + 4 d2) / (4 d2)
+    pairs = [(d1, d2) for d1 in range(1, 13) for d2 in range(1, 13) if d1 + d2 >= 3]
+    assert len(pairs) == 143
+    for d1, d2 in pairs:
+        spec, threshold = generalized_flag_spec(d1, d2), (d1 + 4 * d2) / (4 * d2)
+        below = existence_check(spec, (threshold * (1 - 1e-6), 1.0))
+        above = existence_check(spec, (threshold * (1 + 1e-6), 1.0))
+        assert (below.status, above.status) == (VerdictStatus.GUARANTEED, VerdictStatus.INCONCLUSIVE), (d1, d2)
+        assert below.apical.sorted == above.apical.sorted == (2,), (d1, d2)
 
 
 def test_existence_degenerate():

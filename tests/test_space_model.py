@@ -17,6 +17,7 @@ from homricci.space_model import (
     coefficients_array,
     load_space_spec,
     parse_number,
+    resolve_indices,
     space_spec_to_document,
     trace_Q_restricted,
     wallach_space,
@@ -48,7 +49,7 @@ def test_builtin_f4_constants(f4):
 def test_builtin_e6_constants(e6):
     assert e6.d == (14, 28, 12)
     assert e6.constant(1, 2, 3) == 3.5
-    assert e6.total_dimension == 54
+    assert sum(e6.d) == 54
 
 
 def test_unknown_builtin():
@@ -380,3 +381,38 @@ def test_structure_constant_indices_must_be_integers(key):
     with pytest.raises(SpecError) as error:
         StructureConstantTable.from_items({key: 1})
     assert str(error.value) == f"triples[{key}]: index must be an integer"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SubalgebraIndexSet.of(2.7, True),
+    lambda: SubalgebraIndexSet.of(True),
+    lambda: SubalgebraIndexSet.from_iterable(["2"]),
+    lambda: SubalgebraIndexSet.of(np.float64(2.0)),
+    lambda: SubalgebraIndexSet.of(np.True_),
+    lambda: resolve_indices(builtin_space("F4_SU3xSU2xU1"), [2.5, 4.5]),
+], ids=["float-and-bool", "bool", "str", "numpy-float", "numpy-bool", "resolved-floats"])
+def test_index_sets_reject_what_is_not_an_integer(build):
+    with pytest.raises(ValueError, match="summand index must be an integer, got "):
+        build()
+
+
+def test_index_sets_reject_non_integers_on_every_path(f4):
+    from homricci.sigma_apical import SigmaContext
+    from homricci.subalgebras import maximal_within
+
+    with pytest.raises(ValueError, match=r"got 2\.5"):
+        SigmaContext(f4, (1, 1, 1, 1)).sigma([2.5, 4.5])
+    with pytest.raises(ValueError, match="got '2'"):
+        maximal_within(f4, ["2", "4"])
+
+
+def test_numpy_integers_are_indices(f4):
+    from homricci.sigma_apical import SigmaContext
+
+    J = SubalgebraIndexSet.of(np.int64(2), np.uint16(4))
+    assert J == SubalgebraIndexSet.of(2, 4) and all(type(i) is int for i in J)
+    assert resolve_indices(f4, np.array([4, 2])) == (2, 4)
+    ctx = SigmaContext(f4, (1, 1, 1, 1))
+    assert ctx.sigma(np.array([2, 4])) == ctx.sigma((2, 4))
+    table = StructureConstantTable.from_items({(np.int64(3), np.int64(1), np.int32(2)): 1})
+    assert table.entries == (((1, 2, 3), 1.0),) and all(type(i) is int for i in table.entries[0][0])
