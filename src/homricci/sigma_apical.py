@@ -8,7 +8,10 @@ is the convex hull of its components' slices in u = 1/y, so sigma is their
 largest sigma.  Nor does a connected pair: hatS is strictly concave on its
 slice, and attains its supremum inside unless it leaves a closed singleton
 face with a slope within the attainment band.  A larger connected J compares
-an interior maximization with the bound, the largest sigma strictly inside J.
+an interior maximization with the bound, the largest sigma strictly inside J,
+unless no nonzero [ijk] of three distinct members lies in J: hatS is then
+concave in u = 1/y, and a certificate on the face of the attained set at the
+bound can show the supremum unattained without a solve.
 
 The pivot of the existence test is a proper subalgebra whose sigma is
 attained and dominates the sigma of every maximal intermediate subalgebra.
@@ -268,23 +271,34 @@ def _sigma_split(J: SubalgebraIndexSet, parts: Sequence[SigmaResult]) -> SigmaRe
     return SigmaResult(J, top, True, tuple(coords[i] for i in J.sorted), SigmaSource.INTERIOR_MAXIMUM)
 
 
-def _sigma_pair(spec: HomogeneousSpaceSpec, K: SubalgebraIndexSet, point: Sequence[float],
-                bound: float | None) -> SigmaResult:
-    """sigma of a connected pair K = {i, j} from the points a = d_i z_i,
-    b = d_j z_j and ``bound``.  With t = a / y_i on the slice, hatS is
-    f(t) = A t + B (1-t) - P t^2/(1-t) - Q (1-t)^2/t with P, Q >= 0, and
-    f'(t) = C - P/(1-t)^2 + Q/t^2, C = A - B + P - Q, strictly decreases.
-    With Q = 0 the face t -> 0 is the closed {j}, and K is attained only
-    when f'(0+) = A - B exceeds the band; P = 0 mirrors it at t -> 1.  The
-    root is found in r = y_j / y_i, which stays moderate however unevenly T
-    is scaled; f' has the sign of h(r) below, with c = alpha b - beta a."""
-    system = slice_term_system(spec, K.sorted)
-    terms = dict(zip(map(tuple, system.exponents.tolist()), system.coefficients.tolist()))
-    a, b = (point[i - 1] for i in K.sorted)
-    alpha, beta, p, q = terms[-1, 0], terms[0, -1], -terms.get((-2, 1), 0.0), -terms.get((1, -2), 0.0)
-    band = ATTAINMENT_TOLERANCE * max(1.0, abs(alpha / a), abs(beta / b))
-    if (q == 0.0 and alpha / a - beta / b <= band) or (p == 0.0 and beta / b - alpha / a <= band):
-        return SigmaResult(K, bound, False, None, SigmaSource.BOUNDARY_RECURSION)
+def _concave_terms(system) -> tuple[list[float], list[list[float]]] | None:
+    """alpha and P with hatS = sum alpha_i u_i - sum P_ij u_i^2 / u_j on the
+    slice of ``system`` in u = 1/y, positions i, j within the slice; None
+    where a term has three distinct indices, the one kind with two -1
+    exponents.  Every slice keeps a linear term for each member, and P >= 0
+    because the constants are."""
+    k = len(system.indices)
+    alpha, P = [0.0] * k, [[0.0] * k for _ in range(k)]
+    for exponent, coefficient in zip(system.exponents.tolist(), system.coefficients.tolist()):
+        if exponent.count(-1.0) > 1:
+            return None
+        low, high = exponent.index(min(exponent)), exponent.index(max(exponent))
+        if exponent[high] == 0.0:
+            alpha[low] = coefficient
+        else:
+            P[low][high] = -coefficient
+    return alpha, P
+
+
+def _pair_maximum(alpha: float, beta: float, p: float, q: float, a: float, b: float) -> tuple[float, float]:
+    """The interior maximum of f(t) = A t + B (1-t) - P t^2/(1-t) - Q (1-t)^2/t,
+    hatS = alpha u_i + beta u_j - p u_i^2/u_j - q u_j^2/u_i on the segment
+    a u_i + b u_j = 1 with t = a u_i, and the ratio r = u_i / u_j = y_j / y_i
+    where it lies.  f'(t) = C - P/(1-t)^2 + Q/t^2, C = A - B + P - Q,
+    strictly decreases, and the caller has checked that it changes sign:
+    C > P with Q = 0, or C < -Q with P = 0.  The root is found in r, which
+    stays moderate however unevenly a and b are scaled; f' has the sign of
+    h(r) below, with c = alpha b - beta a."""
     c = alpha * b - beta * a
     if q == 0.0:  # the root of p a r^2 + 2 p b r = c > 0, that is t = 1 - sqrt(P / C)
         r = c / (p * b + math.hypot(p * b, math.sqrt(p * a * c)))
@@ -308,9 +322,67 @@ def _sigma_pair(spec: HomogeneousSpaceSpec, K: SubalgebraIndexSet, point: Sequen
                 step = 0.5 * (lo + hi) - w
             w, moved = w + step, abs(step)
         r = math.exp(w)
-    value = (alpha * r + beta - p * r * r - q / r) / (a * r + b)
+    return (alpha * r + beta - p * r * r - q / r) / (a * r + b), r
+
+
+def _sigma_pair(spec: HomogeneousSpaceSpec, K: SubalgebraIndexSet, point: Sequence[float],
+                bound: float | None) -> SigmaResult:
+    """sigma of a connected pair K = {i, j} from the points a = d_i z_i,
+    b = d_j z_j and ``bound``.  hatS on its slice is the strictly concave
+    f of :func:`_pair_maximum`, with P, Q >= 0.  With Q = 0 the face t -> 0
+    is the closed {j}, and K is attained only when f'(0+) = A - B exceeds
+    the band; P = 0 mirrors it at t -> 1."""
+    (alpha, beta), P = _concave_terms(slice_term_system(spec, K.sorted))
+    a, b = (point[i - 1] for i in K.sorted)
+    p, q = P[0][1], P[1][0]
+    band = ATTAINMENT_TOLERANCE * max(1.0, abs(alpha / a), abs(beta / b))
+    if (q == 0.0 and alpha / a - beta / b <= band) or (p == 0.0 and beta / b - alpha / a <= band):
+        return SigmaResult(K, bound, False, None, SigmaSource.BOUNDARY_RECURSION)
+    value, r = _pair_maximum(alpha, beta, p, q, a, b)
     value = value if bound is None else max(value, bound)
     return SigmaResult(K, value, True, (a + b / r, a * r + b), SigmaSource.INTERIOR_MAXIMUM)
+
+
+def _face_supremum(alpha: Sequence[float], P: Sequence[Sequence[float]], c: Sequence[float]) -> float:
+    """An upper bound on the supremum of g(w) = sum alpha_j w_j -
+    sum P_ij w_i^2 / w_j over w >= 0 with sum c_j w_j = 1: alpha_j / c_j for
+    one member, the exact maximum for two, and max_j alpha_j / c_j, which
+    drops the P terms, for more."""
+    if len(c) != 2:
+        return max(x / y for x, y in zip(alpha, c))
+    (alpha_i, beta), (a, b), p, q = alpha, c, P[0][1], P[1][0]
+    if (q == 0.0 and alpha_i * b <= beta * a) or (p == 0.0 and alpha_i * b >= beta * a):
+        return max(alpha_i / a, beta / b)  # f' keeps one sign: the larger end
+    try:
+        return _pair_maximum(alpha_i, beta, p, q, a, b)[0]
+    except (ArithmeticError, ValueError):  # scales past the float range: no bound
+        return math.inf
+
+
+def _sigma_face(spec: HomogeneousSpaceSpec, J: SubalgebraIndexSet, point: Sequence[float],
+                bound: float, K: SubalgebraIndexSet) -> SigmaResult | None:
+    """sigma of a connected J whose hatS is concave in u = 1/y, from the one
+    attained closed K inside J at its bound b, where a certificate shows
+    that the supremum stays on the face of K; None where it does not.
+
+    Each term of hatS on the slice sum c_i u_i = 1, c_i = d_i z_i, is then
+    alpha_i u_i or -P_ij u_i^2 / u_j.  With O = J - K, no term has i in K
+    and j in O, since K is closed, so on the face u_O = 0 hatS is hatS_K,
+    whose maximum b is stationary with multiplier b.  Leaving the face
+    along w >= 0 on O changes hatS at the rate g(w) - b sum c_j w_j, g of
+    :func:`_face_supremum` over O.  By concavity hatS stays below b on the
+    whole open slice when sup g < b, here by more than the attainment band:
+    the supremum b is unattained."""
+    terms = _concave_terms(slice_term_system(spec, J.sorted))
+    if terms is None:
+        return None
+    alpha, P = terms
+    outside = [p for p, i in enumerate(J.sorted) if i not in K.indices]
+    supremum = _face_supremum([alpha[i] for i in outside], [[P[i][j] for j in outside] for i in outside],
+                              [point[J.sorted[i] - 1] for i in outside])
+    if supremum < bound - ATTAINMENT_TOLERANCE * max(1.0, abs(bound)):
+        return SigmaResult(J, bound, False, None, SigmaSource.BOUNDARY_RECURSION)
+    return None
 
 
 def _first_components(spec: HomogeneousSpaceSpec, masks: np.ndarray) -> np.ndarray:
@@ -327,6 +399,13 @@ def _first_components(spec: HomogeneousSpaceSpec, masks: np.ndarray) -> np.ndarr
     return grown
 
 
+def _finite(result: SigmaResult) -> SigmaResult:
+    """``result``, or ValueError where its value or witness is not a finite float."""
+    if math.isfinite(result.value) and (result.witness is None or all(map(math.isfinite, result.witness))):
+        return result
+    raise ValueError(f"sigma of {result.J} overflows a float at this tensor")
+
+
 def _fill(contexts: Sequence[SigmaContext], Js: Sequence[SubalgebraIndexSet]) -> None:
     """Store in each context, smallest first, the sigma of every closed set
     inside one of ``Js`` that it does not know yet; the contexts share one
@@ -336,8 +415,11 @@ def _fill(contexts: Sequence[SigmaContext], Js: Sequence[SubalgebraIndexSet]) ->
     set split into components by its internal brackets takes
     :func:`_sigma_split` of theirs, stored earlier in lattice order.  A
     connected pair takes :func:`_sigma_pair`, unattained when its slope off
-    a closed singleton face is within the attainment band; the larger
-    connected ones share one slice solve.
+    a closed singleton face is within the attainment band.  A larger
+    connected set takes :func:`_sigma_face` where that certificate closes:
+    its bound is known before the solve, one attained set inside it, and no
+    other, reaches the bound, and its hatS is concave.  The rest share one
+    slice solve, and what depends on them is stored after it.
 
     A stored sigma is its bound or more, so sigma never decreases along
     inclusion, and a set's bound, the largest sigma stored strictly inside
@@ -349,7 +431,7 @@ def _fill(contexts: Sequence[SigmaContext], Js: Sequence[SubalgebraIndexSet]) ->
         return
     split: dict[int, list[int]] = {}  # position of a disconnected set -> its components'
     if all(len(J) == 1 for J in asked.values()):
-        closed, solved = sorted(asked.values(), key=lambda J: J.sorted), []
+        closed, solved = sorted(asked.values(), key=lambda J: J.sorted), set()
     else:  # the lattice holds every closed set but the full one
         lattice, full = intermediate_subalgebras(spec), [J for J in asked.values() if len(J) == spec.s]
         closed = lattice.all_proper + tuple(full)
@@ -366,29 +448,57 @@ def _fill(contexts: Sequence[SigmaContext], Js: Sequence[SubalgebraIndexSet]) ->
             for p, low in zip(several[cut].tolist(), first[cut].tolist()):
                 rest = position[closed[p].mask & ~low]  # earlier: it has fewer members
                 split[p] = [position[low]] + split.get(rest, [rest])
-        solved = [p for p in several[~cut].tolist() if len(closed[p]) > 2]
+        solved = {p for p in several[~cut].tolist() if len(closed[p]) > 2}
 
-    points = np.array(spec.d) * np.array([ctx._frame for ctx in contexts])
-    ratios = singleton_coefficients(spec) / points
-    composite = [(ctx, closed[p]) for ctx in contexts for p in solved if closed[p].indices not in ctx._memo]
-    reports = iter(maximize_hatS_on_slices(spec, [K for _, K in composite],
-                                           [ctx._frame for ctx, _ in composite], options) if composite else ())
-    for ctx, point, ratio in zip(contexts, points.tolist(), ratios.tolist()):
-        values = np.empty(len(closed))
+    coefficients = singleton_coefficients(spec).tolist()
+
+    def settle(ctx, values, point, ratio, p, reports) -> SigmaResult | None:
+        """sigma of closed[p] from the values stored before it; None while one
+        of them waits for the solve, or while, before it, closed[p] needs one."""
+        K = closed[p]
+        if len(K) == 1:
+            i = K.sorted[0] - 1
+            return SigmaResult(K, ratio[i], True, (point[i],), SigmaSource.CLOSED_FORM_IRREDUCIBLE)
+        if p in split:
+            parts = [ctx._memo.get(closed[q].indices) for q in split[p]]
+            return None if any(part is None for part in parts) else _sigma_split(K, parts)
+        inside = (masks[:p] & masks[p]) == masks[:p]
+        below = values[:p][inside]
+        bound = float(below.max()) if below.size else None
+        if bound is not None and math.isnan(bound):  # the max of values still waiting is nan
+            return None
+        if len(K) == 2:
+            return _sigma_pair(spec, K, point, bound)
+        if reports is not None:
+            return _sigma_composite(K, next(reports), bound)
+        if bound is None:
+            return None
+        top = np.flatnonzero(inside)[below >= bound - ATTAINMENT_TOLERANCE * max(1.0, abs(bound))].tolist()
+        faces = [closed[q] for q in top if ctx._memo[closed[q].indices].attained]
+        return _sigma_face(spec, K, point, bound, faces[0]) if len(faces) == 1 else None
+
+    waiting = []  # (context, point, ratio, values, positions left for after the solve)
+    for ctx, values in zip(contexts, np.full((len(contexts), len(closed)), np.nan)):
+        # in Python floats, what overflows is inf, and refused as it is stored
+        point = [d * x for d, x in zip(spec.d, ctx._frame)]
+        ratio = [c / y for c, y in zip(coefficients, point)]
+        left = []
         for p, K in enumerate(closed):
             result = ctx._memo.get(K.indices)
             if result is None:
-                if len(K) == 1:
-                    i = K.sorted[0] - 1
-                    result = SigmaResult(K, ratio[i], True, (point[i],), SigmaSource.CLOSED_FORM_IRREDUCIBLE)
-                elif p in split:
-                    result = _sigma_split(K, [ctx._memo[closed[q].indices] for q in split[p]])
-                else:
-                    below = values[:p][(masks[:p] & masks[p]) == masks[:p]]
-                    bound = float(below.max()) if below.size else None
-                    result = (_sigma_pair(spec, K, point, bound) if len(K) == 2
-                              else _sigma_composite(K, next(reports), bound))
-                ctx._memo[K.indices] = result
+                result = settle(ctx, values, point, ratio, p, None)
+                if result is None:
+                    left.append(p)
+                    continue
+                ctx._memo[K.indices] = _finite(result)
+            values[p] = result.value
+        waiting.append((ctx, point, ratio, values, left))
+    composite = [(ctx, closed[p]) for ctx, *_, left in waiting for p in left if p in solved]
+    reports = iter(maximize_hatS_on_slices(spec, [K for _, K in composite],
+                                           [ctx._frame for ctx, _ in composite], options) if composite else ())
+    for ctx, point, ratio, values, left in waiting:
+        for p in left:
+            result = ctx._memo[closed[p].indices] = _finite(settle(ctx, values, point, ratio, p, reports))
             values[p] = result.value
 
 
@@ -498,6 +608,9 @@ def existence_verdict(ctx: SigmaContext) -> ExistenceVerdict:
     primary, candidates = _apical_search(ctx)
     complement = primary.J.complement(spec.s)
     lhs = primary.value * trace_Q_restricted(spec, ctx._frame, complement)  # the same in any frame
+    if not math.isfinite(lhs):
+        raise ValueError(f"sigma of {primary.J} times the trace of T over its complement "
+                         f"overflows a float at this tensor")
     rhs = _complement_constant(spec, complement)
     margin = rhs - lhs
     return ExistenceVerdict(_classify(margin, rhs), primary.J, ctx._unframe(primary), lhs, rhs, margin,

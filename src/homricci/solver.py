@@ -33,6 +33,7 @@ out of budget even if its gradient is already small.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -181,6 +182,19 @@ def _halton(index: int, base: int) -> float:
     return r
 
 
+@functools.lru_cache(maxsize=64)
+def _restart_grid(seed: int, restarts: int, k: int) -> np.ndarray:
+    """The starts of ``restarts`` restarts on a slice of k summands: Halton
+    points from index seed * restarts + 1 on, scaled to the start box.
+    Shared between calls, so read-only."""
+    grid = START_BOX * (2.0 * np.array([
+        [_halton(seed * restarts + r + 1, p) for p in _HALTON_PRIMES[:k]]
+        for r in range(restarts)
+    ]) - 1.0)
+    grid.flags.writeable = False
+    return grid
+
+
 def _row_norms(X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", X, X))
 
@@ -234,13 +248,15 @@ class _SliceProblem:
         return np.cumsum(weights, axis=1)[:, -1], gradients, weights
 
     def tangent(self, W: np.ndarray, G: np.ndarray):
-        """Projected gradient, unit normal and normal length of each row."""
+        """Projected gradient, unit normal, normal length and normal
+        component <G, u> of each row."""
         normal = self.cz * np.exp(-W)
         size = _row_norms(normal)
         u = normal / size[:, None]
-        return G - np.einsum("ij,ij->i", G, u)[:, None] * u, u, size
+        along = np.einsum("ij,ij->i", G, u)
+        return G - along[:, None] * u, u, size, along
 
-    def ascent_direction(self, G, gp, u, size, weights, active) -> np.ndarray:
+    def ascent_direction(self, G, gp, u, size, along, weights, active) -> np.ndarray:
         """Modified-Newton ascent step on the tangent space of each row.
 
         The Lagrangian Hessian is reduced to the tangent space through a
@@ -255,7 +271,7 @@ class _SliceProblem:
         """
         # Lagrangian Hessian hess f - lam diag(normal), lam being the
         # least-squares multiplier of G = lam * grad h = -lam * normal
-        lam = -np.einsum("ij,ij->i", G, u) / size
+        lam = -along / size
         weighted = self._by_slice(weights)[:, :, :, None] * self.exponents[:, None]
         hessian = np.matmul(self._exponents_T[:, None], weighted).reshape(-1, self.k * self.k)
         hessian[:, :: self.k + 1] -= lam[:, None] * size[:, None] * u
@@ -267,8 +283,9 @@ class _SliceProblem:
         basis = self._tangent_axes - (
             (2.0 / np.einsum("ij,ij->i", v, v))[:, None, None] * v[:, :, None] * v[:, None, : self.k - 1])
         reduced = np.matmul(basis.transpose(0, 2, 1), np.matmul(hessian, basis))
-        # -I makes the step below the projected gradient
-        unusable = ~(active & np.isfinite(reduced).all(axis=(1, 2)))
+        # -I makes the step below the projected gradient; a finite sum
+        # means every row is finite
+        unusable = ~active if math.isfinite(reduced.sum()) else ~(active & np.isfinite(reduced).all(axis=(1, 2)))
         if unusable.any():
             reduced[unusable] = -np.eye(self.k - 1)
         mu, vectors = np.linalg.eigh(reduced)
@@ -277,8 +294,8 @@ class _SliceProblem:
         axes = np.matmul(basis, vectors)
         coordinates = np.einsum("rk,rkj->rj", G, axes) / np.maximum(curvature, _TINY)
         D = np.einsum("rkj,rj->rk", axes, coordinates)
-        fallback = active & ~np.isfinite(D).all(axis=1)
-        if fallback.any():
+        if not math.isfinite(D.sum()):
+            fallback = active & ~np.isfinite(D).all(axis=1)
             D[fallback] = gp[fallback]
         return D * np.minimum(1.0, MAX_LOG_STEP / np.maximum(_row_norms(D), _TINY))[:, None]
 
@@ -317,36 +334,44 @@ def _run_restarts(problem: _SliceProblem, W0: np.ndarray, max_iterations: int
         active = np.ones(R, dtype=bool)
         escaped = np.zeros(R, dtype=bool)
         iterations = np.full(R, max_iterations)
+        # the tangent at a first trial that ended the line search: every row
+        # still active took it, and no value computed for an inactive row is kept
+        ahead = None
 
         for iteration in range(1, max_iterations + 1):
-            finished = active & (np.ptp(W, axis=1) > log_escape)
+            finished = active & (W.max(axis=1) - W.min(axis=1) > log_escape)
             escaped |= finished
-            gp, u, size = problem.tangent(W, G)
+            gp, u, size, along = problem.tangent(W, G) if ahead is None else ahead
             residual = _row_norms(gp)
             finished |= active & (residual < INNER_GRADIENT_TARGET)
             iterations[finished] = iteration
             active &= ~finished
             if not active.any():
                 break
-            D = problem.ascent_direction(G, gp, u, size, weights, active)
+            D = problem.ascent_direction(G, gp, u, size, along, weights, active)
             slope, length = np.einsum("ij,ij->i", G, D), _row_norms(D)
-            start, alpha, pending, first = W, np.ones(R), active, True
+            start, alpha, pending, first, ahead = W, np.ones(R), active, True, None
             moved, exhausted = np.zeros(R, dtype=bool), np.zeros(R, dtype=bool)
             while pending.any():
                 W_try = problem.project(start + alpha[:, None] * D)
                 F_try, G_try, weights_try = problem.evaluate(W_try)
-                finite = pending & np.isfinite(F_try)
+                finite = pending if math.isfinite(F_try.sum()) else pending & np.isfinite(F_try)
                 accept = finite & (F_try >= F + ARMIJO * alpha * slope)
                 if first:
                     first = False
                     gated = finite & (residual < NEWTON_GATE)
                     if gated.any():
-                        accept |= gated & (_row_norms(problem.tangent(W_try, G_try)[0]) < 0.9 * residual)
+                        ahead = problem.tangent(W_try, G_try)
+                        accept |= gated & (_row_norms(ahead[0]) < 0.9 * residual)
+                else:  # a row that stays active may take this trial: the next pass needs its own tangent
+                    ahead = None
                 rows = accept[:, None]
                 W, F = np.where(rows, W_try, W), np.where(accept, F_try, F)
                 G, weights = np.where(rows, G_try, G), np.where(rows, weights_try, weights)
                 moved |= accept
                 pending = pending & ~accept
+                if not pending.any():
+                    break
                 alpha[pending] *= 0.5
                 stop = pending & (alpha * length < STEP_TOLERANCE)
                 exhausted |= stop
@@ -355,7 +380,7 @@ def _run_restarts(problem: _SliceProblem, W0: np.ndarray, max_iterations: int
             iterations[finished] = iteration
             active &= ~finished
         else:
-            finished = active & (np.ptp(W, axis=1) > log_escape)
+            finished = active & (W.max(axis=1) - W.min(axis=1) > log_escape)
             escaped |= finished
             active &= ~finished
 
@@ -390,10 +415,7 @@ def _maximize(spec: HomogeneousSpaceSpec, slices: list[tuple[int, ...]], zs: lis
         systems = [slice_term_system(spec, slices[p]) for p in positions]
         terms = max(len(system.coefficients) for system in systems)
         per_batch = max(1, MAX_BATCH_ENTRIES // (R * terms * k))
-        starts = START_BOX * (2.0 * np.array([
-            [_halton(options.seed * R + r + 1, p) for p in _HALTON_PRIMES[:k]]
-            for r in range(R)
-        ]) - 1.0)
+        starts = _restart_grid(options.seed, R, k)
         for first in range(0, len(positions), per_batch):
             batch = positions[first: first + per_batch]
             problem = _SliceProblem(spec, systems[first: first + per_batch],

@@ -7,6 +7,7 @@ oracles, never reuse them.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -279,6 +280,13 @@ def has_internal_bracket(spec: HomogeneousSpaceSpec, J) -> bool:
     """Some nonzero [ijk] has all three indices in J."""
     members = sorted(set(int(i) for i in J))
     return any(spec.constant(i, j, k) != 0.0 for i in members for j in members for k in members)
+
+
+def has_distinct_bracket(spec: HomogeneousSpaceSpec, J) -> bool:
+    """Some nonzero [ijk] has three distinct indices in J; without one, hatS
+    on the slice of J is concave in u = 1/y."""
+    members = sorted(set(int(i) for i in J))
+    return any(spec.constant(i, j, k) != 0.0 for i, j, k in itertools.combinations(members, 3))
 
 
 def components(spec: HomogeneousSpaceSpec, J) -> list[frozenset[int]]:

@@ -109,6 +109,29 @@ def test_check_non_finite_tensor_is_exit_2(capsys, tensor):
     assert err.startswith("error: --T: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    # c_1 / (d_1 z_1) overflows at a subnormal z_1; the check used to end in
+    # "min() arg is an empty sequence" and the table printed Infinity or inf
+    (("sigma", "--builtin", "E6_Sp3xSp1", "--T", "1e-310,1,1"), "sigma of {1} overflows a float at this tensor"),
+    (("check", "--builtin", "E6_Sp3xSp1", "--T", "1e-310,1,1"), "sigma of {1} overflows a float at this tensor"),
+    (("sigma", "--builtin", "E6_Sp3xSp1", "--T", "1,1,1e-320", "--format", "csv"),
+     "sigma of {3} overflows a float at this tensor"),
+    # every sigma is finite, but the pivot's times the trace of T off it is not
+    (("check", "--builtin", "G2_U2_long", "--T", "1.7e308,1,1"),
+     "sigma of {3} times the trace of T over its complement overflows a float at this tensor"),
+])
+def test_values_that_overflow_a_float_are_exit_2(capsys, argv, message):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out, err) == (EXIT_INVALID_INPUT, "", f"error: {message}\n")
+
+
+def test_sweep_point_whose_sigma_overflows_is_one_error_row(capsys):
+    code, out, err = invoke(capsys, "sweep", "--builtin", "E6_Sp3xSp1", "--T", "1,1,1", "--grid", "1=1e-310:1:2")
+    assert code == EXIT_OK
+    assert out.splitlines()[1:] == ["9.9999999999999694e-311,1,1,error,,,", "1,1,1,guaranteed,2,0.375,3.25"]
+    assert err == "z=9.9999999999999694e-311,1,1: sigma of {1} overflows a float at this tensor\n"
+
+
 def test_sweep_non_finite_grid_is_exit_2(capsys):
     code, out, err = invoke(capsys, "sweep", "--builtin", "G2_U2_long", "--T", "1,1,1",
                             "--grid", "1=1:inf:2")

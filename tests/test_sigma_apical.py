@@ -37,6 +37,7 @@ from oracles import (
     components,
     generalized_flag_spec,
     golden_section_max,
+    has_distinct_bracket,
     has_internal_bracket,
     is_closed_subset,
     psi_peak_location,
@@ -472,19 +473,31 @@ def _lattice_fills(calls):
 
 
 def test_only_connected_slices_reach_the_solver(monkeypatch):
-    # a pair is decided in closed form whether or not it is connected
+    # a pair is decided in closed form whether or not it is connected; a
+    # larger connected set is solved unless its hatS is concave (no bracket
+    # of three distinct members) and a face certificate leaves its
+    # supremum unattained at the bound
     calls = _record_solves(monkeypatch)
-    disconnected = pairs = connected = 0
+    disconnected = pairs = connected = certified = 0
     for spec, ctx, rows, solved in _lattice_fills(calls):
         for row in rows:
             if len(row.J) > 1:
                 split = len(components(spec, row.J.sorted)) > 1
                 pair = len(row.J) == 2 and not split
-                assert (row.J.indices in solved) is not (split or pair), (spec, ctx.z, row.J)
+                where = (spec, ctx.z, row.J)
+                if split or pair:
+                    assert row.J.indices not in solved, where
+                elif row.J.indices in solved:
+                    connected += 1
+                else:
+                    assert not has_distinct_bracket(spec, row.J.sorted), where
+                    assert (row.attained, row.witness, row.source) == (
+                        False, None, SigmaSource.BOUNDARY_RECURSION), where
+                    certified += 1
                 disconnected += split
                 pairs += pair
-                connected += not (split or pair)
-    assert disconnected >= 2000 and pairs >= 100 and connected >= 100, (disconnected, pairs, connected)
+    assert disconnected >= 2000 and pairs >= 100 and connected >= 100 and certified >= 20, (
+        disconnected, pairs, connected, certified)
 
 
 def test_disconnected_sigma_is_the_largest_component_sigma():
@@ -667,6 +680,86 @@ def test_flat_ray_at_a_face_is_not_attained():
     assert (pair.value, pair.attained, pair.witness) == (SigmaContext(spec, z).sigma((1,)).value, False, None)
     verdict = existence_check(spec, z)
     assert verdict.apical.sorted == (1,) and verdict.status is VerdictStatus.INCONCLUSIVE
+
+
+# ---------------------------------------------------------------------------
+# concave slices: without a bracket of three distinct members, hatS is
+# concave in u = 1/y, and a face certificate can show the supremum unattained
+# ---------------------------------------------------------------------------
+
+
+def test_concave_slice_left_on_a_face_is_decided_without_a_solve(monkeypatch):
+    # {3,4,6} keeps [344] and [446] but no bracket of three distinct members.
+    # Its bound is sigma({3}) = -1/4, attained, and leaving that face along
+    # w = (w4, w6) changes hatS at the rate 4.5 w4 - 5.25 w6 - w4^2/w6 <=
+    # -0.1875 w6 < 0 (with 6 w4 + 2 w6 = 1), so the supremum stays on it
+    calls = _record_solves(monkeypatch)
+    spec = load_space_spec({"name": "sparse8_0", "d": [3, 1, 1, 6, 9, 2, 9, 11], "triples": [
+        {"i": 1, "j": 8, "k": 8, "value": "3"}, {"i": 2, "j": 5, "k": 6, "value": "3/4"},
+        {"i": 3, "j": 4, "k": 4, "value": "3/2"}, {"i": 4, "j": 4, "k": 6, "value": "4"},
+        {"i": 5, "j": 6, "k": 8, "value": "4"}]})
+    T = (1,) * 8
+    result = SigmaContext(spec, T).sigma((3, 4, 6))
+    assert calls == []
+    assert (result.value, result.attained, result.witness, result.source) == (
+        -0.25, False, None, SigmaSource.BOUNDARY_RECURSION)
+    forced = maximize_hatS_on_slices(spec, [(3, 4, 6)], [T])[0]
+    assert _sigma_composite(result.J, forced, -0.25) == result
+    existence_check(spec, T)
+    assert [sorted(J) for call in calls for J, _ in call] == [[1, 2, 5, 6, 8], [1, 2, 3, 4, 5, 6, 8]]
+    # b = -1/(4 z_3) crosses sup g at z_3 = -1/(4 sup g): below it hatS peaks
+    # inside and the slice is solved to an attained maximum, above it the
+    # certificate closes; on both sides the row is the forced solve's
+    _, top = golden_section_max(lambda t: 3.0 * t / 6.0 - 5.75 * (1.0 - t) / 2.0
+                                - (t / 6.0) ** 2 / ((1.0 - t) / 2.0), 1e-12, 1.0 - 1e-12)
+    for f in (0.9, 0.99, 0.999, 1.001, 1.01, 1.1):
+        calls.clear()
+        ctx = SigmaContext(spec, (1, 1, -0.25 / top * f, 1, 1, 1, 1, 1))
+        result = ctx.sigma((3, 4, 6))
+        forced = maximize_hatS_on_slices(spec, [(3, 4, 6)], [ctx._frame])[0]
+        assert result == _sigma_composite(result.J, forced, ctx.sigma((3,)).value), f
+        assert (result.attained, calls == []) == (f < 1.0, f > 1.0), f
+    # where the maximum off the face leaves the float range (c_4 = 6e300,
+    # c_6 = 2e-300) the certificate gives no bound, and the slice is solved
+    calls.clear()
+    SigmaContext(spec, (1, 1e-150, 1e300, 1e300, 1, 1e-300, 1, 1)).sigma((3, 4, 6))
+    assert [sorted(J) for call in calls for J, _ in call] == [[3, 4, 6]]
+
+
+def test_concave_slices_decided_on_a_face_match_the_forced_solve(monkeypatch):
+    # every connected set of three or more members without a bracket of three
+    # distinct members is either solved or decided by its face certificate;
+    # a decided row is what the 16-restart solve and the attainment rule give
+    # (so the certificate never fires where that solve attains), and no
+    # sampled point of its slice beats the bound
+    calls = _record_solves(monkeypatch)
+    rng, sampler = np.random.default_rng(2424), np.random.default_rng(2425)
+    certified = solved = 0
+    for draw in range(400):
+        spec = random_space_spec(rng, max_summands=8, density=float(rng.uniform(0.03, 0.25)))
+        z = (1.0,) * spec.s if draw % 2 else tuple(rng.uniform(0.3, 3.0, spec.s))
+        calls.clear()
+        ctx = SigmaContext(spec, z)
+        rows = ctx.closed_sigmas(intermediate_subalgebras(spec).all_proper)
+        solved_sets = {J for call in calls for J, _ in call}
+        for row in rows:
+            members = row.J.sorted
+            if len(members) < 3 or len(components(spec, members)) > 1 or has_distinct_bracket(spec, members):
+                continue
+            if row.J.indices in solved_sets:
+                solved += 1
+                continue
+            where = (spec, z, members)
+            bound = max(r.value for r in ctx._framed(maximal_within(spec, row.J)))
+            forced = maximize_hatS_on_slices(spec, [row.J], [ctx._frame])[0]
+            assert ctx._framed([row.J])[0] == _sigma_composite(row.J, forced, bound), where
+            assert (row.attained, row.witness, row.source) == (False, None, SigmaSource.BOUNDARY_RECURSION), where
+            for y in np.exp(sampler.uniform(-6.0, 6.0, (64, len(members)))):
+                trace = sum(spec.d[i - 1] * z[i - 1] / v for i, v in zip(members, y))
+                sampled = brute_force_hat_curvature(spec, members, trace * y)
+                assert sampled <= row.value + 1e-9 * max(1.0, abs(row.value)), (where, sampled)
+            certified += 1
+    assert certified >= 30 and solved >= 25, (certified, solved)
 
 
 @pytest.mark.parametrize("seed", [3, 17])
