@@ -116,7 +116,8 @@ def test_check_non_finite_tensor_is_exit_2(capsys, tensor):
     (("check", "--builtin", "E6_Sp3xSp1", "--T", "1e-310,1,1"), "sigma of {1} overflows a float at this tensor"),
     (("sigma", "--builtin", "E6_Sp3xSp1", "--T", "1,1,1e-320", "--format", "csv"),
      "sigma of {3} overflows a float at this tensor"),
-    # every sigma is finite, but the pivot's times the trace of T off it is not
+    # every sigma is finite, but the pivot's sigma times the trace of T over
+    # its complement is not
     (("check", "--builtin", "G2_U2_long", "--T", "1.7e308,1,1"),
      "sigma of {3} times the trace of T over its complement overflows a float at this tensor"),
 ])

@@ -707,6 +707,7 @@ def test_concave_slice_left_on_a_face_is_decided_without_a_solve(monkeypatch):
     assert _sigma_composite(result.J, forced, -0.25) == result
     existence_check(spec, T)
     assert [sorted(J) for call in calls for J, _ in call] == [[1, 2, 5, 6, 8], [1, 2, 3, 4, 5, 6, 8]]
+    # off the face, g(w) = 3 w4 - 5.75 w6 - w4^2/w6 on 6 w4 + 2 w6 = 1, and
     # b = -1/(4 z_3) crosses sup g at z_3 = -1/(4 sup g): below it hatS peaks
     # inside and the slice is solved to an attained maximum, above it the
     # certificate closes; on both sides the row is the forced solve's
