@@ -11,7 +11,10 @@ face with a slope within the attainment band.  A larger connected J compares
 an interior maximization with the bound, the largest sigma strictly inside J,
 unless no nonzero [ijk] of three distinct members lies in J: hatS is then
 concave in u = 1/y, and a certificate on the face of the attained set at the
-bound can show the supremum unattained without a solve.
+bound can show the supremum unattained without a solve.  So every sigma is
+a function of the connected closed sets, the atoms: a table settles only
+the atoms inside what it is asked for, and the pivot descent reads the
+maximal closed subsets of a disconnected set off its components.
 
 The pivot of the existence test is a proper subalgebra whose sigma is
 attained and dominates the sigma of every maximal intermediate subalgebra.
@@ -47,9 +50,10 @@ from .space_model import (
     wallach_space,
 )
 from .subalgebras import (
+    SubalgebraLattice,
     intermediate_subalgebras,
     is_bracket_closed,
-    maximal_within,
+    maximal_within,  # noqa: F401  (bench/trace.py patches it by name)
     ordered_entries,
 )
 
@@ -172,10 +176,11 @@ def sigma_irreducible(spec: HomogeneousSpaceSpec, i: int, z) -> SigmaResult:
 class SigmaContext:
     """Memoised sigma evaluations for one (spec, tensor) pair.
 
-    The table is filled smallest-first: asking for J stores every closed
-    set inside J not known yet in lattice order (size, then lexicographic),
-    so a composite set finds its bound, the largest sigma strictly inside
-    it, already stored.  The slices that need a solve are solved in one
+    Asking for J stores J and every atom (connected closed set) inside J
+    not known yet, the atoms smallest first in lattice order (size, then
+    lexicographic), so an atom finds its bound, the largest sigma strictly
+    inside it, already stored, and a disconnected J takes the largest of
+    its components'.  The slices that need a solve are solved in one
     :func:`maximize_hatS_on_slices` call; :func:`solve_together` fills the
     existence tests of several contexts with one such call.  Not safe to
     share across threads.
@@ -192,7 +197,7 @@ class SigmaContext:
         self.spec = spec
         self.z = coefficients_array(z, spec.s, "z")
         self.options = options or SolverOptions()
-        self._memo: dict[frozenset[int], SigmaResult] = {}
+        self._memo: dict[int, SigmaResult] = {}  # by mask
         self._exponent = math.frexp(max(self.z))[1] - 1
         self._frame = tuple(math.ldexp(v, -self._exponent) for v in self.z)
         if any(math.ldexp(v, self._exponent) != x for v, x in zip(self._frame, self.z)):
@@ -205,7 +210,7 @@ class SigmaContext:
         """sigma of each J, with every slice they need solved in one call."""
         Jsets = [SubalgebraIndexSet.from_iterable(J) for J in Js]
         for J in Jsets:
-            if J.indices not in self._memo and not is_bracket_closed(self.spec, J):
+            if J.mask not in self._memo and not is_bracket_closed(self.spec, J):
                 raise ValueError(f"index set {J} is not bracket-closed")
         return self.closed_sigmas(Jsets)
 
@@ -218,10 +223,10 @@ class SigmaContext:
         """sigma of closed sets in the frame; sets all stored already are
         answered from the memo without a fill."""
         try:
-            return [self._memo[J.indices] for J in Js]
+            return [self._memo[J.mask] for J in Js]
         except KeyError:
             _fill([self], Js)
-            return [self._memo[J.indices] for J in Js]
+            return [self._memo[J.mask] for J in Js]
 
     def _unframe(self, result: SigmaResult) -> SigmaResult:
         """``result`` out of the frame; ValueError where that overflows."""
@@ -385,20 +390,6 @@ def _sigma_face(spec: HomogeneousSpaceSpec, J: SubalgebraIndexSet, point: Sequen
     return None
 
 
-def _first_components(spec: HomogeneousSpaceSpec, masks: np.ndarray) -> np.ndarray:
-    """For each closed set of ``masks``, the mask of its component holding
-    its lowest member, grown by every nonzero [ijk] inside the set that
-    touches it until none does (at most s rounds)."""
-    a, b, c, _ = ordered_entries(spec)
-    brackets = (1 << a | 1 << b | 1 << c)[(a <= b) & (b <= c)]
-    links = np.where((masks[:, None] & brackets) == brackets, brackets, 0)
-    grown, wider = np.zeros_like(masks), masks & -masks
-    while (wider != grown).any():
-        grown = wider
-        wider = grown | np.bitwise_or.reduce(np.where(links & grown[:, None], links, 0), axis=1)
-    return grown
-
-
 def _finite(result: SigmaResult) -> SigmaResult:
     """``result``, or ValueError where its value or witness is not a finite float."""
     if math.isfinite(result.value) and (result.witness is None or all(map(math.isfinite, result.witness))):
@@ -407,61 +398,70 @@ def _finite(result: SigmaResult) -> SigmaResult:
 
 
 def _fill(contexts: Sequence[SigmaContext], Js: Sequence[SubalgebraIndexSet]) -> None:
-    """Store in each context, smallest first, the sigma of every closed set
-    inside one of ``Js`` that it does not know yet; the contexts share one
-    spec and one set of solver options, and every J is closed.  Singletons
-    alone need no lattice; each takes its closed form from the points
-    d_i z_i and ratios c_i / (d_i z_i) divided once per fill.  A composite
-    set split into components by its internal brackets takes
-    :func:`_sigma_split` of theirs, stored earlier in lattice order.  A
-    connected pair takes :func:`_sigma_pair`, unattained when its slope off
-    a closed singleton face is within the attainment band.  A larger
-    connected set takes :func:`_sigma_face` where that certificate closes:
-    its bound is known before the solve, one attained set inside it, and no
-    other, reaches the bound, and its hatS is concave.  The rest share one
-    slice solve, and what depends on them is stored after it.
+    """Store in each context the sigma of every closed set of ``Js`` that it
+    does not know yet; the contexts share one spec and one set of solver
+    options, and every J is closed.
+
+    Only atoms, the connected closed sets, are settled: those inside a
+    component of a J that some context does not know yet, smallest first in
+    lattice order.  A singleton takes its closed form from the points
+    d_i z_i and ratios c_i / (d_i z_i) divided once per fill, and singletons
+    alone need no lattice.  A larger atom's bound is the largest atom sigma
+    strictly inside it.  A connected pair takes :func:`_sigma_pair`,
+    unattained when its slope off a closed singleton face is within the
+    attainment band.  A larger atom takes :func:`_sigma_face` where that
+    certificate closes: its bound is known before the solve, one attained
+    closed set inside it, and no other, reaches the bound, and its hatS is
+    concave.  The rest share one slice solve, and what depends on them is
+    settled after it.  Last, each disconnected J takes :func:`_sigma_split`
+    of its components.
 
     A stored sigma is its bound or more, so sigma never decreases along
-    inclusion, and a set's bound, the largest sigma stored strictly inside
-    it, equals the largest over its maximal subalgebras.
+    inclusion.  sigma of a disconnected set is the largest over its
+    components, so the largest atom sigma strictly inside an atom is the
+    largest sigma of any closed set there.  An atom is stored only after
+    every atom inside it, so a context that knows a component knows every
+    atom inside it.
     """
-    spec, options = contexts[0].spec, contexts[0].options
-    asked = {J.indices: J for J in Js if any(J.indices not in ctx._memo for ctx in contexts)}
+    asked = {J.mask: J for J in Js if any(J.mask not in ctx._memo for ctx in contexts)}
     if not asked:
         return
-    split: dict[int, list[int]] = {}  # position of a disconnected set -> its components'
     if all(len(J) == 1 for J in asked.values()):
-        closed, solved = sorted(asked.values(), key=lambda J: J.sorted), set()
-    else:  # the lattice holds every closed set but the full one
-        lattice, full = intermediate_subalgebras(spec), [J for J in asked.values() if len(J) == spec.s]
-        closed = lattice.all_proper + tuple(full)
-        masks = np.append(lattice.masks, np.array([J.mask for J in full], dtype=np.int64))
-        inside = np.zeros(len(closed), dtype=bool)
-        for J in asked.values():
-            inside |= (masks & J.mask) == masks
-        closed, masks = [closed[p] for p in np.flatnonzero(inside).tolist()], masks[inside]
-        several = np.flatnonzero(masks & (masks - 1))
-        first = _first_components(spec, masks[several])
-        cut = first != masks[several]
-        if cut.any():
-            position = {K.mask: p for p, K in enumerate(closed)}
-            for p, low in zip(several[cut].tolist(), first[cut].tolist()):
-                rest = position[closed[p].mask & ~low]  # earlier: it has fewer members
-                split[p] = [position[low]] + split.get(rest, [rest])
-        solved = {p for p in several[~cut].tolist() if len(closed[p]) > 2}
+        _settle(contexts, sorted(asked.values(), key=lambda J: J.sorted), None, None)
+        return
+    lattice, full = intermediate_subalgebras(contexts[0].spec), (1 << contexts[0].spec.s) - 1
+    parts = {mask: lattice.components(mask) for mask in asked}
+    unknown = {C for Cs in parts.values() for C in Cs if any(C not in ctx._memo for ctx in contexts)}
+    if unknown:
+        masks, atoms = lattice.atom_masks, lattice.atoms
+        if full in unknown:  # the full set, connected
+            masks, atoms = np.append(masks, full), atoms + (asked[full],)
+        inside = np.zeros(len(masks), dtype=bool)
+        for C in unknown:
+            inside |= (masks & C) == masks
+        _settle(contexts, [atoms[p] for p in np.flatnonzero(inside).tolist()], masks[inside], lattice)
+    for ctx in contexts:
+        for mask, J in asked.items():
+            if mask not in ctx._memo:
+                ctx._memo[mask] = _finite(_sigma_split(J, [ctx._memo[C] for C in parts[mask]]))
 
+
+def _settle(contexts: Sequence[SigmaContext], atoms: Sequence[SubalgebraIndexSet], masks: np.ndarray | None,
+            lattice: SubalgebraLattice | None) -> None:
+    """Store in each context the sigma of every atom of ``atoms``, which is
+    in lattice order with their ``masks``, that it does not know yet; all
+    atoms inside each are among them.  ``masks`` and ``lattice`` are None
+    where every atom is a singleton."""
+    spec, options = contexts[0].spec, contexts[0].options
     coefficients = singleton_coefficients(spec).tolist()
 
     def settle(ctx, values, point, ratio, p, reports) -> SigmaResult | None:
-        """sigma of closed[p] from the values stored before it; None while one
-        of them waits for the solve, or while, before it, closed[p] needs one."""
-        K = closed[p]
+        """sigma of atoms[p] from the values stored before it; None while one
+        of them waits for the solve, or while, before it, atoms[p] needs one."""
+        K = atoms[p]
         if len(K) == 1:
             i = K.sorted[0] - 1
             return SigmaResult(K, ratio[i], True, (point[i],), SigmaSource.CLOSED_FORM_IRREDUCIBLE)
-        if p in split:
-            parts = [ctx._memo.get(closed[q].indices) for q in split[p]]
-            return None if any(part is None for part in parts) else _sigma_split(K, parts)
         inside = (masks[:p] & masks[p]) == masks[:p]
         below = values[:p][inside]
         bound = float(below.max()) if below.size else None
@@ -473,33 +473,56 @@ def _fill(contexts: Sequence[SigmaContext], Js: Sequence[SubalgebraIndexSet]) ->
             return _sigma_composite(K, next(reports), bound)
         if bound is None:
             return None
-        top = np.flatnonzero(inside)[below >= bound - ATTAINMENT_TOLERANCE * max(1.0, abs(bound))].tolist()
-        faces = [closed[q] for q in top if ctx._memo[closed[q].indices].attained]
-        return _sigma_face(spec, K, point, bound, faces[0]) if len(faces) == 1 else None
+        below_masks = masks[:p][inside].tolist()
+        top = [m for m, v in zip(below_masks, below.tolist())
+               if v >= bound - ATTAINMENT_TOLERANCE * max(1.0, abs(bound))]
+        faces = [m for m in top if ctx._memo[m].attained]
+        if len(faces) != 1 or _tied_union(ctx, lattice, below_masks, faces[0]):
+            return None
+        return _sigma_face(spec, K, point, bound, ctx._memo[faces[0]].J)
 
     waiting = []  # (context, point, ratio, values, positions left for after the solve)
-    for ctx, values in zip(contexts, np.full((len(contexts), len(closed)), np.nan)):
+    for ctx, values in zip(contexts, np.full((len(contexts), len(atoms)), np.nan)):
         # in Python floats, what overflows is inf, and refused as it is stored
         point = [d * x for d, x in zip(spec.d, ctx._frame)]
         ratio = [c / y for c, y in zip(coefficients, point)]
         left = []
-        for p, K in enumerate(closed):
-            result = ctx._memo.get(K.indices)
+        for p, K in enumerate(atoms):
+            result = ctx._memo.get(K.mask)
             if result is None:
                 result = settle(ctx, values, point, ratio, p, None)
                 if result is None:
                     left.append(p)
                     continue
-                ctx._memo[K.indices] = _finite(result)
+                ctx._memo[K.mask] = _finite(result)
             values[p] = result.value
         waiting.append((ctx, point, ratio, values, left))
-    composite = [(ctx, closed[p]) for ctx, *_, left in waiting for p in left if p in solved]
+    composite = [(ctx, atoms[p]) for ctx, *_, left in waiting for p in left]
     reports = iter(maximize_hatS_on_slices(spec, [K for _, K in composite],
                                            [ctx._frame for ctx, _ in composite], options) if composite else ())
     for ctx, point, ratio, values, left in waiting:
         for p in left:
-            result = ctx._memo[closed[p].indices] = _finite(settle(ctx, values, point, ratio, p, reports))
+            result = ctx._memo[atoms[p].mask] = _finite(settle(ctx, values, point, ratio, p, reports))
             values[p] = result.value
+
+
+def _tied_union(ctx: SigmaContext, lattice: SubalgebraLattice, inside: Sequence[int], face: int) -> bool:
+    """Whether a disconnected closed set strictly inside the atom being
+    settled is attained at its bound as well as ``face``, the one attained
+    atom there; ``inside`` holds the masks of the atoms strictly inside the
+    one being settled.  Such a set has ``face`` as a component, the top one,
+    and every other component attained and tied with it in the band of its
+    value (:func:`_sigma_split`)."""
+    top = ctx._memo[face].value
+    tol = ATTAINMENT_TOLERANCE * max(1.0, abs(top))
+    tied = {m for m in inside if ctx._memo[m].attained and ctx._memo[m].value >= top - tol}
+    if len(tied) == 1:  # the face alone
+        return False
+    union, masks = 0, lattice.masks
+    for mask in tied:
+        union |= mask
+    unions = masks[((masks & union) == masks) & ((masks & face) == face) & (masks != face)].tolist()
+    return any(face in parts and set(parts) <= tied for parts in map(lattice.components, unions))
 
 
 def solve_together(contexts: Sequence[SigmaContext]) -> None:
@@ -535,6 +558,23 @@ def _tied_subset(results: Sequence[SigmaResult]) -> list[SigmaResult]:
     return [r for r in results if r.value >= best - tol]
 
 
+def _descend(ctx: SigmaContext, lattice: SubalgebraLattice, J: SubalgebraIndexSet) -> SubalgebraIndexSet:
+    """The maximal closed proper subset of J that the pivot descent takes:
+    of those whose sigma ties the largest, the one of most summands, then
+    lexicographically first.  sigma of each is the largest of its
+    components' (:func:`_sigma_split`), which the table holds with J."""
+    subsets = lattice.subsets(J.mask)
+    if not subsets:  # unattained sigma always has somewhere to descend
+        raise SolverError(f"descent stuck on {J} with no subalgebras")
+    values = [max(ctx._memo[C].value for C in lattice.components(K)) for K in subsets]
+    best = max(values)
+    tol = TIE_TOLERANCE * max(1.0, abs(best))
+    # of two sets of one size, the lexicographically first holds the
+    # smallest member where they differ: its mask is the larger bit-reversed
+    tied = (K for K, value in zip(subsets, values) if value >= best - tol)
+    return SubalgebraIndexSet.from_mask(min(tied, key=lambda K: (-K.bit_count(), -int(f"{K:016b}"[::-1], 2))))
+
+
 def _apical_search(ctx: SigmaContext) -> tuple[SigmaResult, tuple[SigmaResult, ...]]:
     """The pivot and every tied candidate, in the frame of ``ctx``.
 
@@ -544,7 +584,7 @@ def _apical_search(ctx: SigmaContext) -> tuple[SigmaResult, tuple[SigmaResult, .
     attain, so it ends.  The pivot is the candidate first in that order.
     """
     lattice = intermediate_subalgebras(ctx.spec)
-    if not lattice.all_proper:
+    if not lattice.masks.size:
         raise NoProperSubalgebraError(
             "the isotropy algebra is maximal: no proper intermediate subalgebra "
             "exists, and this existence test does not cover that case"
@@ -554,11 +594,8 @@ def _apical_search(ctx: SigmaContext) -> tuple[SigmaResult, tuple[SigmaResult, .
     for start in _tied_subset(maximal_results):
         current = start
         while not current.attained:
-            subs = maximal_within(ctx.spec, current.J)
-            if not subs:  # unattained sigma always has somewhere to descend
-                raise SolverError(f"descent stuck on {current.J} with no subalgebras")
-            current = _tie_break(_tied_subset(ctx._framed(subs)))
-        if all(current.J.indices != c.J.indices for c in candidates):
+            current = ctx._framed([_descend(ctx, lattice, current.J)])[0]
+        if all(current.J.mask != c.J.mask for c in candidates):
             candidates.append(current)
     candidates.sort(key=lambda r: (-len(r.J), r.J.sorted))
     return _tie_break(candidates), tuple(candidates)

@@ -267,7 +267,7 @@ class _SliceProblem:
         as small as 3e-10, and an absolute floor above it (1e-8, say) cuts
         the escaping step to a crawl.  The step is capped at MAX_LOG_STEP.  Rows whose
         reduced Hessian is not finite take the projected gradient; inactive
-        rows get a step that is never used.
+        rows are left out of the eigendecomposition and get a zero step.
         """
         # Lagrangian Hessian hess f - lam diag(normal), lam being the
         # least-squares multiplier of G = lam * grad h = -lam * normal
@@ -283,21 +283,28 @@ class _SliceProblem:
         basis = self._tangent_axes - (
             (2.0 / np.einsum("ij,ij->i", v, v))[:, None, None] * v[:, :, None] * v[:, None, : self.k - 1])
         reduced = np.matmul(basis.transpose(0, 2, 1), np.matmul(hessian, basis))
-        # -I makes the step below the projected gradient; a finite sum
-        # means every row is finite
-        unusable = ~active if math.isfinite(reduced.sum()) else ~(active & np.isfinite(reduced).all(axis=(1, 2)))
-        if unusable.any():
-            reduced[unusable] = -np.eye(self.k - 1)
+        # only running rows are decomposed; -I makes the step below the
+        # projected gradient, and a finite sum means every row is finite
+        every = np.count_nonzero(active) == len(active)
+        rows = slice(None) if every else active
+        reduced, basis = reduced[rows], basis[rows]
+        if not math.isfinite(reduced.sum()):
+            reduced[~np.isfinite(reduced).all(axis=(1, 2))] = -np.eye(self.k - 1)
         mu, vectors = np.linalg.eigh(reduced)
         magnitude = np.abs(mu)
         curvature = np.maximum(magnitude, EIGEN_FLOOR * magnitude.max(axis=1, keepdims=True))
         axes = np.matmul(basis, vectors)
-        coordinates = np.einsum("rk,rkj->rj", G, axes) / np.maximum(curvature, _TINY)
-        D = np.einsum("rkj,rj->rk", axes, coordinates)
-        if not math.isfinite(D.sum()):
-            fallback = active & ~np.isfinite(D).all(axis=1)
-            D[fallback] = gp[fallback]
-        return D * np.minimum(1.0, MAX_LOG_STEP / np.maximum(_row_norms(D), _TINY))[:, None]
+        coordinates = np.einsum("rk,rkj->rj", G[rows], axes) / np.maximum(curvature, _TINY)
+        step = np.einsum("rkj,rj->rk", axes, coordinates)
+        if not math.isfinite(step.sum()):
+            fallback = ~np.isfinite(step).all(axis=1)
+            step[fallback] = gp[rows][fallback]
+        step *= np.minimum(1.0, MAX_LOG_STEP / np.maximum(_row_norms(step), _TINY))[:, None]
+        if every:
+            return step
+        D = np.zeros_like(G)
+        D[active] = step
+        return D
 
 
 def _run_restarts(problem: _SliceProblem, W0: np.ndarray, max_iterations: int
@@ -333,34 +340,33 @@ def _run_restarts(problem: _SliceProblem, W0: np.ndarray, max_iterations: int
             raise SolverError("objective overflowed at a projected start point")
         active = np.ones(R, dtype=bool)
         escaped = np.zeros(R, dtype=bool)
-        iterations = np.full(R, max_iterations)
+        iterations = np.zeros(R, dtype=int)  # the passes each row started active
         # the tangent at a first trial that ended the line search: every row
         # still active took it, and no value computed for an inactive row is kept
         ahead = None
 
-        for iteration in range(1, max_iterations + 1):
+        for _ in range(max_iterations):
+            iterations += active
             finished = active & (W.max(axis=1) - W.min(axis=1) > log_escape)
             escaped |= finished
             gp, u, size, along = problem.tangent(W, G) if ahead is None else ahead
             residual = _row_norms(gp)
             finished |= active & (residual < INNER_GRADIENT_TARGET)
-            iterations[finished] = iteration
-            active &= ~finished
-            if not active.any():
+            active ^= finished
+            if not np.count_nonzero(active):
                 break
             D = problem.ascent_direction(G, gp, u, size, along, weights, active)
             slope, length = np.einsum("ij,ij->i", G, D), _row_norms(D)
-            start, alpha, pending, first, ahead = W, np.ones(R), active, True, None
-            moved, exhausted = np.zeros(R, dtype=bool), np.zeros(R, dtype=bool)
-            while pending.any():
-                W_try = problem.project(start + alpha[:, None] * D)
+            # alpha is None on the first trial, the full step on every row
+            start, pending, alpha, moved, exhausted = W, active, None, None, None
+            while True:
+                W_try = problem.project(start + (D if alpha is None else alpha[:, None] * D))
                 F_try, G_try, weights_try = problem.evaluate(W_try)
                 finite = pending if math.isfinite(F_try.sum()) else pending & np.isfinite(F_try)
-                accept = finite & (F_try >= F + ARMIJO * alpha * slope)
-                if first:
-                    first = False
-                    gated = finite & (residual < NEWTON_GATE)
-                    if gated.any():
+                accept = finite & (F_try >= F + (ARMIJO * slope if alpha is None else ARMIJO * alpha * slope))
+                if alpha is None:
+                    ahead, gated = None, finite & (residual < NEWTON_GATE)
+                    if np.count_nonzero(gated):
                         ahead = problem.tangent(W_try, G_try)
                         accept |= gated & (_row_norms(ahead[0]) < 0.9 * residual)
                 else:  # a row that stays active may take this trial: the next pass needs its own tangent
@@ -368,21 +374,26 @@ def _run_restarts(problem: _SliceProblem, W0: np.ndarray, max_iterations: int
                 rows = accept[:, None]
                 W, F = np.where(rows, W_try, W), np.where(accept, F_try, F)
                 G, weights = np.where(rows, G_try, G), np.where(rows, weights_try, weights)
-                moved |= accept
-                pending = pending & ~accept
-                if not pending.any():
+                moved = accept if moved is None else moved | accept
+                pending = pending ^ accept  # accept lies inside pending
+                if not np.count_nonzero(pending):
                     break
+                if alpha is None:
+                    alpha = np.ones(R)
                 alpha[pending] *= 0.5
                 stop = pending & (alpha * length < STEP_TOLERANCE)
-                exhausted |= stop
+                exhausted = stop if exhausted is None else exhausted | stop
                 pending &= ~stop
-            finished = exhausted | (moved & (_row_norms(W - start) < STEP_TOLERANCE))
-            iterations[finished] = iteration
-            active &= ~finished
+                if not np.count_nonzero(pending):
+                    break
+            finished = moved & (_row_norms(W - start) < STEP_TOLERANCE)
+            if exhausted is not None:
+                finished |= exhausted
+            active ^= finished
         else:
             finished = active & (W.max(axis=1) - W.min(axis=1) > log_escape)
             escaped |= finished
-            active &= ~finished
+            active ^= finished
 
         residual = _row_norms(problem.tangent(W, G)[0])
     outcome = np.select([escaped, active, residual < GRADIENT_TOLERANCE], [1, 2, 0], 3)
@@ -437,12 +448,13 @@ def _report(W: np.ndarray, F: np.ndarray, residual: np.ndarray, iterations: np.n
 
     converged = np.flatnonzero(outcome == 0).tolist()
     if converged:
-        ranked = sorted(converged, key=lambda r: (-values[r], tuple(Y[r])))
+        points = Y.tolist()
+        ranked = sorted(converged, key=lambda r: (-values[r], points[r]))
         best = ranked[0]
         near_optimal: list[tuple[float, ...]] = []
         for r in ranked:
             if values[r] >= values[best] - VALUE_TIE * max(1.0, abs(values[best])):
-                y = tuple(Y[r].tolist())
+                y = tuple(points[r])
                 if _distinct(near_optimal, y):
                     near_optimal.append(y)
         return OptimizationReport(

@@ -235,7 +235,14 @@ class SubalgebraIndexSet:
 
     @classmethod
     def from_mask(cls, mask: int) -> "SubalgebraIndexSet":
-        return cls(frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1))
+        """The set with bit i-1 of ``mask`` set for each member i; the bits
+        name valid indices, so only emptiness is checked."""
+        if mask <= 0:
+            raise ValueError("index set must be non-empty")
+        J = object.__new__(cls)
+        object.__setattr__(J, "indices", frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1))
+        J.__dict__["mask"] = mask  # the cached property
+        return J
 
     @cached_property
     def mask(self) -> int:

@@ -9,12 +9,17 @@ test and the exhaustive scan read one table per spec, :func:`bracket_reach`:
 J is closed exactly when the summands reached from pairs inside J lie in J.
 
 The lattice depends on the spec alone, so it is scanned once per spec and
-kept until the spec itself is garbage collected.
+kept until the spec itself is garbage collected.  It is kept as masks: the
+sorted members, and a component table that splits every closed set into its
+bracket-connected components, the connected closed sets ("atoms").  Index
+set objects are built only for the members a caller reads: the listings
+``all_proper`` and ``maximal`` on first access, and the results of
+:func:`maximal_within`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -82,42 +87,84 @@ def is_bracket_closed(spec: HomogeneousSpaceSpec, J) -> bool:
     return not any(reach[a - 1][b - 1] & outside for a in members for b in members)
 
 
-@dataclass(frozen=True)
 class SubalgebraLattice:
-    """All proper intermediate subalgebras and the maximal ones among them.
+    """All proper intermediate subalgebras of one spec, kept as masks.
 
-    Both listings are sorted by size then lexicographically, so iteration
-    order is reproducible.  ``masks`` holds the mask of each member of
-    ``all_proper``, in its order, as one read-only int64 array.
+    ``masks`` holds the mask of every member as one read-only int64 array,
+    sorted by size then lexicographically, so iteration order is
+    reproducible.  ``all_proper`` lists the members as index sets in that
+    order and ``maximal`` the maximal ones among them; each listing is built
+    on first access.  ``atoms`` lists the connected members;
+    :meth:`components` splits any closed set into its atoms, and
+    :meth:`subsets` gives its maximal closed proper subsets.
     """
 
-    all_proper: tuple[SubalgebraIndexSet, ...]
-    maximal: tuple[SubalgebraIndexSet, ...]
-    masks: np.ndarray = field(compare=False, repr=False)
+    def __init__(self, masks: np.ndarray, first: np.ndarray):
+        self.masks = masks
+        self._first = first
+        self._subsets: dict[int, list[int]] = {}  # of each atom asked so far
+
+    @cached_property
+    def all_proper(self) -> tuple[SubalgebraIndexSet, ...]:
+        return tuple(map(SubalgebraIndexSet.from_mask, self.masks.tolist()))
+
+    @cached_property
+    def maximal(self) -> tuple[SubalgebraIndexSet, ...]:
+        return tuple(map(SubalgebraIndexSet.from_mask, _maximal_masks(self.masks)))
+
+    @cached_property
+    def atom_masks(self) -> np.ndarray:
+        """Masks of the connected members, in lattice order."""
+        return self.masks[self._first[self.masks] == self.masks]
+
+    @cached_property
+    def atoms(self) -> tuple[SubalgebraIndexSet, ...]:
+        """The connected members, in lattice order."""
+        return tuple(map(SubalgebraIndexSet.from_mask, self.atom_masks.tolist()))
+
+    def components(self, mask: int) -> list[int]:
+        """Masks of the bracket-connected components of the closed set
+        ``mask`` (a member or the full set), by lowest member."""
+        parts = []
+        while mask:
+            low = self._first.item(mask)
+            if not low:
+                raise ValueError(f"index set {SubalgebraIndexSet.from_mask(mask)} is not bracket-closed")
+            parts.append(low)
+            mask &= ~low
+        return parts
+
+    def subsets(self, mask: int) -> list[int]:
+        """Masks of the maximal closed proper subsets of the closed set
+        ``mask``.  An atom's are the maximal members inside it, read off the
+        member masks once; those of a disconnected set are the set with one
+        component C replaced by one of C's, or with C dropped where it has
+        none."""
+        parts = self.components(mask)
+        if len(parts) > 1:
+            return [J for C in parts for J in [mask & ~C | K for K in self.subsets(C)] or [mask & ~C]]
+        if mask not in self._subsets:
+            inside = self.masks[(self.masks | mask) == mask]
+            self._subsets[mask] = _maximal_masks(inside[inside != mask])
+        return self._subsets[mask]
 
 
-def _sort_key(J: SubalgebraIndexSet):
-    return (len(J), J.sorted)
+def _maximal_masks(masks: np.ndarray) -> list[int]:
+    """Masks not strictly inside another of ``masks``, which is sorted by
+    size, then lexicographically; the result keeps that order.
 
-
-def _maximal(members) -> list[SubalgebraIndexSet]:
-    """Members not strictly inside another member.  ``members`` is sorted
-    by size, then lexicographically, and the result keeps that order.
-
-    Scanning from the largest down, a member strictly inside any other lies
-    strictly inside one already kept, so only the kept ones are compared;
-    none of them is J or smaller, so J lies strictly inside one it fits in.
+    The last mask left lies inside no other left, since a larger one comes
+    later: it is kept, and every mask inside it is dropped.
     """
-    kept: list[SubalgebraIndexSet] = []
-    for J in reversed(members):
-        if not any(J.mask & K.mask == J.mask for K in kept):
-            kept.append(J)
-    kept.reverse()
-    return kept
+    kept: list[int] = []
+    while masks.size:
+        kept.append(int(masks[-1]))
+        masks = masks[(masks & kept[-1]) != masks]
+    return kept[::-1]
 
 
-def _closed_masks(spec: HomogeneousSpaceSpec) -> list[int]:
-    """Masks of every non-empty proper closed set, in increasing order.
+def _closed(spec: HomogeneousSpaceSpec) -> np.ndarray:
+    """Whether each mask of s bits is closed, as one boolean array.
 
     ``reach[m]``, the union of :func:`bracket_reach` over the pairs inside
     mask m, is filled by doubling: the masks with top bit t are the masks m
@@ -134,16 +181,52 @@ def _closed_masks(spec: HomogeneousSpaceSpec) -> list[int]:
             np.bitwise_or(across[:1 << a], table[a, t], out=across[1 << a:2 << a])
         np.bitwise_or(reach[:1 << t], across[:1 << t], out=reach[1 << t:2 << t])
     masks = np.arange(reach.size, dtype=np.uint16)
-    closed = np.bitwise_or(reach, masks, out=reach) == masks
-    return (np.flatnonzero(closed[1:-1]) + 1).tolist()
+    return np.bitwise_or(reach, masks, out=reach) == masks
+
+
+# each byte with its bits in reverse order, and its number of set bits
+_REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)])
+_BYTE_SIZES = np.array([f"{b:b}".count("1") for b in range(256)])
+
+
+def _lattice_order(masks: np.ndarray, s: int) -> np.ndarray:
+    """``masks`` of s bits sorted by size, then lexicographically.  Among
+    sets of one size, the smallest member where two differ is the highest
+    bit of the masks with their s bits reversed, and the set holding it
+    comes first, so the order is by size, then by reversed mask descending."""
+    low, high = masks & 255, masks >> 8
+    reversed_ = (_REVERSED_BYTES[low] << 8 | _REVERSED_BYTES[high]) >> (16 - s)
+    return masks[np.lexsort((-reversed_, _BYTE_SIZES[low] + _BYTE_SIZES[high]))]
+
+
+def _first_components(spec: HomogeneousSpaceSpec, masks: np.ndarray) -> np.ndarray:
+    """For each closed set of ``masks``, the mask of its component holding
+    its lowest member, grown by every nonzero [ijk] inside the set that
+    touches it until none does (at most s rounds)."""
+    a, b, c, _ = ordered_entries(spec)
+    brackets = (1 << a | 1 << b | 1 << c)[(a <= b) & (b <= c)]
+    links = np.where((masks[:, None] & brackets) == brackets, brackets, 0)
+    grown, wider = np.zeros_like(masks), masks & -masks
+    while (wider != grown).any():
+        grown = wider
+        wider = grown | np.bitwise_or.reduce(np.where(links & grown[:, None], links, 0), axis=1)
+    return grown
 
 
 @memoize_per_spec
 def _lattice(spec: HomogeneousSpaceSpec) -> SubalgebraLattice:
-    closed = sorted(map(SubalgebraIndexSet.from_mask, _closed_masks(spec)), key=_sort_key)
-    masks = np.array([J.mask for J in closed], dtype=np.int64)
+    """The lattice and its component table ``first``, indexed by mask: for
+    every closed set, proper or full, the component holding its lowest
+    member; the components of a closed set J are first[J] and those of
+    J - first[J], which is closed as well."""
+    masks = _lattice_order(np.flatnonzero(_closed(spec)[1:-1]) + 1, spec.s)
     masks.flags.writeable = False
-    return SubalgebraLattice(all_proper=tuple(closed), maximal=tuple(_maximal(closed)), masks=masks)
+    closed = np.append(masks, (1 << spec.s) - 1)
+    several = closed[(closed & (closed - 1)) != 0]
+    first = np.zeros(1 << spec.s, dtype=np.uint16)
+    first[closed] = closed  # a single summand is its own component
+    first[several] = _first_components(spec, several)
+    return SubalgebraLattice(masks, first)
 
 
 def intermediate_subalgebras(spec: HomogeneousSpaceSpec) -> SubalgebraLattice:
@@ -154,15 +237,12 @@ def intermediate_subalgebras(spec: HomogeneousSpaceSpec) -> SubalgebraLattice:
 
 
 def maximal_within(spec: HomogeneousSpaceSpec, J) -> list[SubalgebraIndexSet]:
-    """Bracket-closed proper non-empty subsets of J, maximal under inclusion.
+    """Bracket-closed proper non-empty subsets of J, maximal under
+    inclusion, in lattice order (:meth:`SubalgebraLattice.subsets`);
+    ValueError where J is not closed."""
+    mask = SubalgebraIndexSet.from_iterable(resolve_indices(spec, J)).mask
+    return sorted(map(SubalgebraIndexSet.from_mask, intermediate_subalgebras(spec).subsets(mask)), key=_sort_key)
 
-    The subsets are read off the spec's lattice by one test on its mask
-    array, and the same test decides that J is closed: J is the full set
-    or the last (largest) lattice member inside J.
-    """
-    Jset = SubalgebraIndexSet.from_iterable(resolve_indices(spec, J))
-    lattice, mask = intermediate_subalgebras(spec), Jset.mask
-    inside = [lattice.all_proper[p] for p in np.flatnonzero((lattice.masks | mask) == mask).tolist()]
-    if mask != (1 << spec.s) - 1 and (not inside or inside.pop().mask != mask):
-        raise ValueError(f"index set {Jset} is not bracket-closed")
-    return _maximal(inside)
+
+def _sort_key(J: SubalgebraIndexSet):
+    return (len(J), J.sorted)

@@ -122,6 +122,30 @@ def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12, iterations: 
     return mid, f(mid)
 
 
+def concave_slice_supremum(spec: HomogeneousSpaceSpec, J, z, span: float = 40.0) -> float:
+    """Supremum of hatS, by :func:`brute_force_hat_curvature`, on the
+    unit-trace slice of a three-member J whose hatS is concave in u = 1/y
+    (no nonzero [ijk] of three distinct members), by nested golden-section
+    searches.  With t_i = d_i z_i u_i the slice is the simplex sum t_i = 1,
+    here t proportional to (1, e^a, e^b).  At fixed a, t runs along a
+    segment from the edge t_3 = 0 to the vertex t_3 = 1 as b grows, so hatS
+    is unimodal in b; its maximum over that segment is quasi-concave in a,
+    since the segments fan out from one vertex.  a and b range over
+    [-span, span], which covers ratios t_i / t_j up to e^40 ~ 2e17."""
+    members = sorted(set(int(i) for i in J))
+    c = [spec.d[i - 1] * float(z[i - 1]) for i in members]
+
+    def value(a: float, b: float) -> float:
+        weights = (1.0, math.exp(a), math.exp(b))
+        total = sum(weights)
+        return brute_force_hat_curvature(spec, members, [ci * total / w for ci, w in zip(c, weights)])
+
+    def along(a: float) -> float:
+        return golden_section_max(lambda b: value(a, b), -span, span)[1]
+
+    return golden_section_max(along, -span, span)[1]
+
+
 def is_closed_subset(spec: HomogeneousSpaceSpec, J) -> bool:
     """No constant [jkl] with j, k in J and l outside J is nonzero."""
     J = frozenset(J)

@@ -347,3 +347,23 @@ def test_criterion_7_determinism(capsys, f4, g2):
         assert first_out == second_out
 
     _criterion(7, "bitwise determinism", 30.0, body)
+
+
+# ---------------------------------------------------------------------------
+# criterion 8: a cold check on a deep lattice
+# ---------------------------------------------------------------------------
+
+
+def test_criterion_8_deep_lattice():
+    # 40,958 closed sets, of which 17 are connected; the check reads only
+    # those and the maximal sets, and must not pay for every member
+    def body():
+        spec = random_space_spec(np.random.default_rng(10), summands=16, density=0.005)
+        verdict = existence_check(spec, (1.0,) * 16)
+        lattice = intermediate_subalgebras(spec)
+        assert (len(lattice.masks), len(lattice.atoms)) == (40958, 17)
+        assert verdict.status is VerdictStatus.INCONCLUSIVE
+        assert verdict.apical.sorted == (15,)
+        assert verdict.margin == -18.517616166064812
+
+    _criterion(8, "cold check of a 40,958-member lattice", 0.75, body)

@@ -15,7 +15,7 @@ from homricci.space_model import SpecError, load_space_spec, space_spec_to_docum
 from homricci.solver import SolverOptions
 from homricci.sweep import grid_points, parse_grid_axis, sweep
 
-from oracles import generalized_flag_spec
+from oracles import concave_slice_supremum, generalized_flag_spec
 
 DATA = Path(__file__).parent / "data"
 
@@ -500,6 +500,22 @@ def _triangle(tmp_path, *extra):
         "triples": [{"i": i, "j": j, "k": k, "value": 1} for i, j, k in ((1, 1, 2), (2, 2, 3), (1, 3, 3)) + extra],
     }))
     return path
+
+
+@pytest.mark.parametrize("z1", ["1", "1e3", "1e6", "1e12"])
+def test_triangle_sigma_is_the_supremum_of_its_concave_form(capsys, tmp_path, z1):
+    # the slice {1,2,3} has no bracket of three distinct members, so hatS is
+    # concave in u = 1/y there, and nothing closed lies inside it: sigma is
+    # an attained interior maximum, which an independent search finds too,
+    # however unevenly T is scaled
+    path = _triangle(tmp_path)
+    code, out, _ = invoke(capsys, "sigma", "--space", str(path), "--T", f"{z1},1,1,1")
+    assert code == EXIT_OK
+    row = next(row for row in json.loads(out)["rows"] if row["J"] == [1, 2, 3])
+    spec = load_space_spec(json.loads(path.read_text()))
+    supremum = concave_slice_supremum(spec, (1, 2, 3), (float(z1), 1.0, 1.0, 1.0))
+    assert row["attained"] and row["source"] == "interior_maximum"
+    assert abs(row["value"] - supremum) <= 1e-12 * supremum, (row["value"], supremum)
 
 
 def test_check_verdict_does_not_depend_on_the_size_of_T(capsys, tmp_path):

@@ -17,6 +17,7 @@ from homricci.sigma_apical import (
     wallach_existence_check,
     _complement_constant,
     _sigma_composite,
+    _sigma_split,
 )
 from homricci.solver import OptimizationReport, SolverError, maximize_hatS_on_slices
 from homricci.space_model import (
@@ -306,7 +307,8 @@ def test_sets_read_from_the_lattice_are_not_tested_again(g2, f4, monkeypatch):
     calls, descents = [], []
     for owner in (module, subalgebras):
         monkeypatch.setattr(owner, "is_bracket_closed", lambda spec, J: calls.append(J) or True)
-    monkeypatch.setattr(module, "maximal_within", lambda spec, J: descents.append(J) or maximal_within(spec, J))
+    descend = module._descend
+    monkeypatch.setattr(module, "_descend", lambda ctx, lattice, J: descents.append(J) or descend(ctx, lattice, J))
     descending = random_space_spec(np.random.default_rng(4), max_summands=8, density=0.08)
     for spec in (g2, f4, descending):
         existence_check(spec, (1.0,) * spec.s)
@@ -525,6 +527,51 @@ def test_disconnected_sigma_is_the_largest_component_sigma():
             assert abs(witnessed - top) <= 2 * tol, where
             tied += 1
     assert untied >= 2000 and tied >= 15, (untied, tied)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_disconnected_rows_are_the_split_of_their_component_rows(seed):
+    # the whole table of each draw of at most 12 summands, at T = 1 and at a
+    # random T; components by the oracle, each a row of the same table
+    rng = np.random.default_rng(seed)
+    split = 0
+    for spec in (spec for spec in seeded_draws(seed) if spec.s <= 12):
+        lattice = intermediate_subalgebras(spec).all_proper
+        for z in ((1.0,) * spec.s, tuple(rng.uniform(0.3, 3.0, spec.s))):
+            rows = dict(zip((J.indices for J in lattice), SigmaContext(spec, z).closed_sigmas(lattice)))
+            for J, row in rows.items():
+                parts = [rows[C] for C in components(spec, J)]
+                if len(parts) < 2:
+                    continue
+                assert row == _sigma_split(row.J, parts), (spec, z, sorted(J))
+                top = max(part.value for part in parts)
+                assert row.value == top
+                band = ATTAINMENT_TOLERANCE * max(1.0, abs(top))
+                assert row.attained == all(part.attained and part.value >= top - band for part in parts)
+                split += 1
+    assert split >= 100, split
+
+
+def test_a_tied_disconnected_set_is_a_second_face():
+    # {1}, {2} and their union {1,2} are closed, and the full set is one
+    # atom: the face certificate of an atom may fire only when one attained
+    # closed set sits at its bound, and {1,2} is a second one exactly when
+    # _sigma_split calls it attained, even where {2} alone is outside the band
+    import homricci.sigma_apical as module
+
+    spec = load_space_spec({"name": "fan", "d": [2, 2, 2], "triples": [
+        {"i": i, "j": 3, "k": 3, "value": 1} for i in (1, 2)]})
+    lattice = intermediate_subalgebras(spec)
+    assert [J.sorted for J in lattice.atoms] == [(1,), (2,)] and lattice.components(0b011) == [1, 2]
+    ctx = SigmaContext(spec, (1.0, 1.0, 1.0))
+    face = module.SigmaResult(SubalgebraIndexSet.of(1), 1.0, True, (1.0,), SigmaSource.CLOSED_FORM_IRREDUCIBLE)
+    for offset in (0.0, 0.5, 0.999, 1.001, 2.0):
+        for attained in (True, False):
+            other = module.SigmaResult(SubalgebraIndexSet.of(2), 1.0 - offset * ATTAINMENT_TOLERANCE, attained,
+                                       (1.0,) if attained else None, SigmaSource.CLOSED_FORM_IRREDUCIBLE)
+            ctx._memo = {1: face, 2: other}
+            union = _sigma_split(SubalgebraIndexSet.of(1, 2), [face, other])
+            assert module._tied_union(ctx, lattice, [1, 2], 1) == union.attained == (attained and offset < 1)
 
 
 def _disjoint_union(A, B):
@@ -1023,6 +1070,21 @@ def test_wallach_tie_breaks_to_smallest_index():
     verdict = wallach_existence_check((4, 4, 6), 1.0, (1.0, 1.0, 10.0))
     assert verdict.apical.sorted == (1,)
     assert len(verdict.candidates) == 2
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_wallach_fast_path_agrees_with_the_generic_check_on_seeded_spaces(seed):
+    # generalised Wallach spaces: dimensions up to 60, [123] on both sides of
+    # d_i / 2 (the sign of each singleton sigma) and T over eight decades
+    rng = np.random.default_rng(7100 + seed)
+    for _ in range(150):
+        d = tuple(int(v) for v in rng.integers(1, 61, 3))
+        a = float(rng.uniform(0.0, max(d)))
+        z = tuple(float(v) for v in np.exp(rng.uniform(-9.0, 9.0, 3)))
+        fast, generic = wallach_existence_check(d, a, z), existence_check(wallach_space(d, a), z)
+        where = (d, a, z)
+        assert (fast.status, fast.apical) == (generic.status, generic.apical), where
+        assert abs(fast.margin - generic.margin) <= 1e-9 * max(1.0, abs(fast.rhs)), where
 
 
 def test_wallach_rejects_bad_input():

@@ -23,6 +23,7 @@ from homricci.subalgebras import (
 
 from oracles import (
     all_closed_subsets,
+    components,
     is_closed_subset,
     maximal_closed_within,
     random_space_spec,
@@ -220,6 +221,30 @@ def test_repeated_index_multisets_close_like_the_oracle():
 def test_bracket_reach_matches_oracle(seed):
     for spec in seeded_draws(seed):
         assert bracket_reach(spec) == reach_table(spec)
+
+
+# ---------------------------------------------------------------------------
+# atoms, the connected closed sets, and the component rule
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_atoms_and_the_component_rule_match_the_oracle(seed):
+    # the draws of at most 12 summands: the oracle scan grows fast above that
+    disconnected = 0
+    for spec in (spec for spec in seeded_draws(seed) if spec.s <= 12):
+        lattice = intermediate_subalgebras(spec)
+        closed = all_closed_subsets(spec)
+        assert _sets(lattice.atoms) == {J for J in closed if len(components(spec, J)) == 1}
+        for J in closed | {frozenset(range(1, spec.s + 1))}:
+            mask = SubalgebraIndexSet.from_iterable(J).mask
+            parts = [SubalgebraIndexSet.from_mask(C).indices for C in lattice.components(mask)]
+            assert parts == components(spec, J)
+            if len(parts) > 1:  # J with one component replaced by a maximal closed subset, or dropped
+                subsets = {SubalgebraIndexSet.from_mask(K).indices for K in lattice.subsets(mask)}
+                assert subsets == maximal_closed_within(closed, J), sorted(J)
+                disconnected += 1
+    assert disconnected >= 50, disconnected
 
 
 # ---------------------------------------------------------------------------
