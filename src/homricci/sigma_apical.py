@@ -53,7 +53,7 @@ from .subalgebras import (
     SubalgebraLattice,
     intermediate_subalgebras,
     is_bracket_closed,
-    maximal_within,  # noqa: F401  (bench/trace.py patches it by name)
+    maximal_within,
     ordered_entries,
 )
 
@@ -561,9 +561,14 @@ def _tied_subset(results: Sequence[SigmaResult]) -> list[SigmaResult]:
 def _descend(ctx: SigmaContext, lattice: SubalgebraLattice, J: SubalgebraIndexSet) -> SubalgebraIndexSet:
     """The maximal closed proper subset of J that the pivot descent takes:
     of those whose sigma ties the largest, the one of most summands, then
-    lexicographically first.  sigma of each is the largest of its
-    components' (:func:`_sigma_split`), which the table holds with J."""
-    subsets = lattice.subsets(J.mask)
+    lexicographically first.  Those of an atom are :func:`maximal_within`,
+    those of a disconnected J follow from its components
+    (:meth:`SubalgebraLattice.subsets`).  sigma of each is the largest of
+    its components' (:func:`_sigma_split`), which the table holds with J."""
+    if len(lattice.components(J.mask)) == 1:
+        subsets = [K.mask for K in maximal_within(ctx.spec, J)]
+    else:
+        subsets = lattice.subsets(J.mask)
     if not subsets:  # unattained sigma always has somewhere to descend
         raise SolverError(f"descent stuck on {J} with no subalgebras")
     values = [max(ctx._memo[C].value for C in lattice.components(K)) for K in subsets]

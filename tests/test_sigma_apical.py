@@ -304,15 +304,21 @@ def test_sets_read_from_the_lattice_are_not_tested_again(g2, f4, monkeypatch):
     import homricci.subalgebras as subalgebras
     from homricci.cli import run
 
-    calls, descents = [], []
+    calls, descents, scans = [], [], []
     for owner in (module, subalgebras):
         monkeypatch.setattr(owner, "is_bracket_closed", lambda spec, J: calls.append(J) or True)
     descend = module._descend
     monkeypatch.setattr(module, "_descend", lambda ctx, lattice, J: descents.append(J) or descend(ctx, lattice, J))
+    monkeypatch.setattr(module, "maximal_within", lambda spec, J: scans.append(J) or maximal_within(spec, J))
     descending = random_space_spec(np.random.default_rng(4), max_summands=8, density=0.08)
     for spec in (g2, f4, descending):
         existence_check(spec, (1.0,) * spec.s)
     assert len(descents) == 16
+    # the descent scans the lattice (maximal_within) only below a connected
+    # set: those 16 steps all start from disconnected sets, F4's from {2, 4}
+    assert all(len(components(descending, J.sorted)) > 1 for J in descents)
+    existence_check(f4, (1.0, 1.75, 1.0, 1.0))
+    assert [J.sorted for J in descents[16:]] == [J.sorted for J in scans] == [(2, 4)]
     assert run(["sigma", "--builtin", "F4_SU3xSU2xU1", "--T", "1,1,1,1"]) == 0
     assert calls == []
     SigmaContext(f4, (1, 1, 1, 1)).sigmas([(4,), (2, 4)])
